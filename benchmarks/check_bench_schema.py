@@ -246,9 +246,9 @@ WALLCLOCK_FIELDS = {
     "micro_timings_s": dict,
 }
 
-#: Timing splits the compiled engine must report in ``micro_timings_s``
-#: (staging vs replay — a missing key means the compiled sweep did not
-#: actually run through the trace-compiled path).
+#: Timing splits the replay pass must report in ``micro_timings_s``
+#: (staging vs replay — a missing key means the default-path sweep did
+#: not actually replay staged schedules).
 COMPILED_MICRO_TIMINGS = ("schedule_compile_s", "compiled_replay_s")
 
 
@@ -281,9 +281,10 @@ def check_wallclock_document(doc: dict) -> list[str]:
     warm = doc.get("cache_warm_speedup")
     if isinstance(warm, numbers.Real) and warm < 10:
         errors.append(f"cache_warm_speedup {warm} is below the 10x floor")
-    # Compiled coverage: every Figure 7 grid point must have replayed a
+    # Replay coverage: every Figure 7 grid point must have replayed a
     # staged schedule (fallbacks mean the speedup silently measured the
-    # generator path) and both engines must have produced the same grid.
+    # generator path), and the replay pass must reproduce the generator
+    # reference's grid.
     fallbacks = doc.get("compiled_fallbacks")
     if isinstance(fallbacks, numbers.Integral) and fallbacks != 0:
         errors.append(

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Check the CLI documents the end-to-end harness does not cover.
+
+``benchmarks/e2e`` checks the documents of fig3a, fig7, fig8, table1,
+table2 and eight serving scenarios against golden digests. This script
+covers the rest of what the CLI emits at quick scale and seed 0: the
+fig1, fig3b, fig5 and fig6 experiments, and ``serve`` of steady, quick,
+chaos-quick, planet-quick, cluster-steady and every file under
+``scenarios/``. Each document is hashed the way the harness hashes it
+(sha256 of its canonical JSON: ``sort_keys``, no whitespace) and
+compared with ``tests/data/document_digests.json``::
+
+    PYTHONPATH=src python benchmarks/check_doc_digests.py             # check all
+    PYTHONPATH=src python benchmarks/check_doc_digests.py fig1 serve:quick
+    PYTHONPATH=src python benchmarks/check_doc_digests.py --record    # rewrite
+
+The goldens are quick-scale documents, so the script pins
+``REPRO_BENCH_SCALE=quick``. It runs serially on no result cache. Exit
+status: 0 when every checked document matches, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "document_digests.json"
+
+EXPERIMENTS = ("fig1", "fig3b", "fig5", "fig6")
+SCENARIOS = ("steady", "quick", "chaos-quick", "planet-quick", "cluster-steady")
+
+
+def documents() -> list[str]:
+    """Every checked document, as ``experiment:<name>`` or ``serve:<spec>``."""
+    files = sorted(
+        f"file:scenarios/{path.name}"
+        for path in (ROOT / "scenarios").iterdir()
+        if path.suffix in (".yaml", ".yml", ".json")
+    )
+    return [
+        *(f"experiment:{name}" for name in EXPERIMENTS),
+        *(f"serve:{spec}" for spec in (*SCENARIOS, *files)),
+    ]
+
+
+def digest(doc: dict) -> str:
+    """sha256 of the document's canonical JSON."""
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def produce(document: str) -> dict:
+    """Run the facade call behind ``document`` and return its data document."""
+    from repro import api
+
+    verb, _, target = document.partition(":")
+    if verb == "experiment":
+        return api.run_experiment(target, jobs=1).doc
+    return api.serve(target, seed=0, jobs=1).doc
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "documents",
+        nargs="*",
+        help="subset to check: experiment names or serve:<spec> (default: all)",
+    )
+    parser.add_argument(
+        "--record", action="store_true", help="rewrite the golden digests"
+    )
+    args = parser.parse_args(argv)
+
+    os.environ["REPRO_BENCH_SCALE"] = "quick"
+    os.chdir(ROOT)  # scenario file references are relative to the root
+    known = documents()
+    wanted = [
+        name if ":" in name else f"experiment:{name}" for name in args.documents
+    ] or known
+    unknown = sorted(set(wanted) - set(known))
+    if unknown:
+        print(f"unknown documents: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+    failed = 0
+    for name in wanted:
+        started = time.perf_counter()
+        got = digest(produce(name))
+        seconds = time.perf_counter() - started
+        expected = golden.get(name)
+        if args.record:
+            golden[name] = got
+            verdict = "recorded"
+        elif got == expected:
+            verdict = "ok"
+        else:
+            failed += 1
+            verdict = f"MISMATCH (golden {expected})"
+        print(f"{name:45s} {got[:16]}  {seconds:6.1f}s  {verdict}", flush=True)
+    if args.record:
+        GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(f"{len(wanted) - failed}/{len(wanted)} documents match")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

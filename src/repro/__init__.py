@@ -60,6 +60,7 @@ The deep modules stay public — ``run_interleaved``, the executor
 registry, the serving server — for anything the facade doesn't cover.
 """
 
+import importlib as _importlib
 import warnings as _warnings
 
 from repro.config import HASWELL, ArchSpec, CacheSpec, CostModel, TlbSpec, scaled
@@ -75,114 +76,121 @@ from repro.errors import (
     SpecError,
     WorkloadError,
 )
-from repro.indexes import (
-    INVALID_CODE,
-    BlockedBTree,
-    ChainedHashTable,
-    CSBTree,
-    ImplicitCSBTree,
-    ImplicitSortedArray,
-    SortedIntArray,
-    SortedStringArray,
-    binary_search_baseline,
-    binary_search_coro,
-    binary_search_std,
-    blocked_lookup_stream,
-    csb_lookup_stream,
-    hash_probe_stream,
-    int_array_of_bytes,
-    locate_stream,
-    string_array_of_bytes,
-)
-from repro.interleaving import (
-    EXECUTOR_REGISTRY,
-    BulkLookup,
-    BulkPipeline,
-    CoroutineHandle,
-    Executor,
-    ExecutionPolicy,
-    FramePool,
-    amac_binary_search_bulk,
-    choose_policy,
-    choose_policy_for_bytes,
-    default_group_size,
-    executor_names,
-    executors_supporting,
-    get_executor,
-    gp_binary_search_bulk,
-    optimal_group_size,
-    paper_techniques,
-    register_executor,
-    run_interleaved,
-    run_sequential,
-)
-from repro.columnstore import (
-    ColumnTable,
-    DeltaDictionary,
-    DeltaStore,
-    EncodedColumn,
-    MainDictionary,
-    run_in_predicate,
-)
-from repro.query import (
-    Aggregate,
-    Filter,
-    IndexJoin,
-    InPredicateEncode,
-    OperatorProfile,
-    PlanResult,
-    QueryPlan,
-    Scan,
-    SortedArrayInner,
-    in_predicate_plan,
-)
-from repro.service import (
-    Scenario,
-    ServiceConfig,
-    ServiceReport,
-    ServiceServer,
-    get_scenario,
-    scenario_names,
-)
-from repro.cluster import (
-    ClusterConfig,
-    ClusterReport,
-    ClusterScenario,
-    ClusterServer,
-    ClusterTopology,
-)
-from repro.sim import AddressSpaceAllocator, ExecutionEngine, MemorySystem
-from repro import api
-from repro.api import (
-    ClusterServeResult,
-    ExperimentResult,
-    ExplainResult,
-    FaultInjectionResult,
-    LookupResult,
-    ServeResult,
-    PlanRunResult,
-    explain,
-    inject_faults,
-    lookup_batch,
-    run_experiment,
-    run_plan,
-    serve,
-    serve_cluster,
-)
-from repro.faults import (
-    FAULT_KINDS,
-    FaultSchedule,
-    fault_profile_names,
-    get_fault_profile,
-)
-from repro.control import AdaptiveController, ControllerConfig
-from repro.scenario import (
-    ScenarioSpec,
-    load_spec_file,
-    parse_spec_text,
-    resolve_scenario,
-    resolve_spec,
-)
+
+#: Module -> the names the package root re-exports from it. They are
+#: imported on first access, so ``import repro`` loads only the config
+#: and error modules.
+_EXPORTS = {
+    "repro.indexes": (
+        "INVALID_CODE",
+        "BlockedBTree",
+        "ChainedHashTable",
+        "CSBTree",
+        "ImplicitCSBTree",
+        "ImplicitSortedArray",
+        "SortedIntArray",
+        "SortedStringArray",
+        "binary_search_baseline",
+        "binary_search_coro",
+        "binary_search_std",
+        "blocked_lookup_stream",
+        "csb_lookup_stream",
+        "hash_probe_stream",
+        "int_array_of_bytes",
+        "locate_stream",
+        "string_array_of_bytes",
+    ),
+    "repro.interleaving": (
+        "EXECUTOR_REGISTRY",
+        "BulkLookup",
+        "BulkPipeline",
+        "CoroutineHandle",
+        "Executor",
+        "ExecutionPolicy",
+        "FramePool",
+        "amac_binary_search_bulk",
+        "choose_policy",
+        "choose_policy_for_bytes",
+        "default_group_size",
+        "executor_names",
+        "executors_supporting",
+        "get_executor",
+        "gp_binary_search_bulk",
+        "optimal_group_size",
+        "paper_techniques",
+        "register_executor",
+        "run_interleaved",
+        "run_sequential",
+    ),
+    "repro.columnstore": (
+        "ColumnTable",
+        "DeltaDictionary",
+        "DeltaStore",
+        "EncodedColumn",
+        "MainDictionary",
+        "run_in_predicate",
+    ),
+    "repro.query": (
+        "Aggregate",
+        "Filter",
+        "IndexJoin",
+        "InPredicateEncode",
+        "OperatorProfile",
+        "PlanResult",
+        "QueryPlan",
+        "Scan",
+        "SortedArrayInner",
+        "in_predicate_plan",
+    ),
+    "repro.service": (
+        "Scenario",
+        "ServiceConfig",
+        "ServiceReport",
+        "ServiceServer",
+        "get_scenario",
+        "scenario_names",
+    ),
+    "repro.cluster": (
+        "ClusterConfig",
+        "ClusterReport",
+        "ClusterScenario",
+        "ClusterServer",
+        "ClusterTopology",
+    ),
+    "repro.sim": ("AddressSpaceAllocator", "ExecutionEngine", "MemorySystem"),
+    "repro.api": (
+        "ClusterServeResult",
+        "ExperimentResult",
+        "ExplainResult",
+        "FaultInjectionResult",
+        "LookupResult",
+        "ServeResult",
+        "PlanRunResult",
+        "explain",
+        "inject_faults",
+        "lookup_batch",
+        "run_experiment",
+        "run_plan",
+        "serve",
+        "serve_cluster",
+    ),
+    "repro.faults": (
+        "FAULT_KINDS",
+        "FaultSchedule",
+        "fault_profile_names",
+        "get_fault_profile",
+    ),
+    "repro.control": ("AdaptiveController", "ControllerConfig"),
+    "repro.scenario": (
+        "ScenarioSpec",
+        "load_spec_file",
+        "parse_spec_text",
+        "resolve_scenario",
+        "resolve_spec",
+    ),
+}
+
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 
 #: Names still importable from the package root but superseded by the
 #: :mod:`repro.api` facade: accessing one emits a DeprecationWarning
@@ -193,6 +201,13 @@ _DEPRECATED_ALIASES = {
 
 
 def __getattr__(name: str):
+    if name == "api":
+        return _importlib.import_module("repro.api")
+    module_name = _LAZY.get(name)
+    if module_name is not None:
+        value = getattr(_importlib.import_module(module_name), name)
+        globals()[name] = value
+        return value
     if name in _DEPRECATED_ALIASES:
         module_name, attr, replacement = _DEPRECATED_ALIASES[name]
         _warnings.warn(
@@ -201,10 +216,13 @@ def __getattr__(name: str):
             DeprecationWarning,
             stacklevel=2,
         )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attr)
+        return getattr(_importlib.import_module(module_name), attr)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "1.0.0"
 
@@ -225,99 +243,8 @@ __all__ = [
     "ColumnStoreError",
     "WorkloadError",
     "QueryError",
-    "AddressSpaceAllocator",
-    "ExecutionEngine",
-    "MemorySystem",
-    "INVALID_CODE",
-    "SortedIntArray",
-    "SortedStringArray",
-    "ImplicitSortedArray",
-    "int_array_of_bytes",
-    "string_array_of_bytes",
-    "binary_search_std",
-    "binary_search_baseline",
-    "binary_search_coro",
-    "locate_stream",
-    "CSBTree",
-    "ImplicitCSBTree",
-    "csb_lookup_stream",
-    "ChainedHashTable",
-    "hash_probe_stream",
-    "BlockedBTree",
-    "blocked_lookup_stream",
-    "CoroutineHandle",
-    "FramePool",
-    "run_sequential",
-    "run_interleaved",
-    "gp_binary_search_bulk",
-    "amac_binary_search_bulk",
-    "optimal_group_size",
-    "default_group_size",
-    "choose_policy",
-    "choose_policy_for_bytes",
-    "ExecutionPolicy",
-    "EXECUTOR_REGISTRY",
-    "BulkLookup",
-    "BulkPipeline",
-    "Executor",
-    "executor_names",
-    "executors_supporting",
-    "get_executor",
-    "paper_techniques",
-    "register_executor",
-    "MainDictionary",
-    "DeltaDictionary",
-    "EncodedColumn",
-    "DeltaStore",
-    "ColumnTable",
-    "run_in_predicate",
-    "Aggregate",
-    "Filter",
-    "IndexJoin",
-    "InPredicateEncode",
-    "OperatorProfile",
-    "PlanResult",
-    "QueryPlan",
-    "Scan",
-    "SortedArrayInner",
-    "in_predicate_plan",
-    "Scenario",
-    "ServiceConfig",
-    "ServiceReport",
-    "ServiceServer",
-    "get_scenario",
-    "run_scenario",
-    "scenario_names",
-    "ClusterConfig",
-    "ClusterReport",
-    "ClusterScenario",
-    "ClusterServer",
-    "ClusterTopology",
-    "api",
-    "ExperimentResult",
-    "ServeResult",
-    "ClusterServeResult",
-    "serve_cluster",
-    "ExplainResult",
-    "LookupResult",
-    "FaultInjectionResult",
-    "PlanRunResult",
-    "run_experiment",
-    "run_plan",
-    "serve",
-    "explain",
-    "lookup_batch",
-    "inject_faults",
-    "FAULT_KINDS",
-    "FaultSchedule",
-    "fault_profile_names",
-    "get_fault_profile",
     "SpecError",
-    "AdaptiveController",
-    "ControllerConfig",
-    "ScenarioSpec",
-    "load_spec_file",
-    "parse_spec_text",
-    "resolve_scenario",
-    "resolve_spec",
+    "api",
+    *_LAZY,
+    *_DEPRECATED_ALIASES,
 ]

@@ -18,7 +18,6 @@ Usage::
     python -m repro explain chaos-quick --pN 99   # p99 critical path
     python -m repro fig7 --jobs 4        # fan sweep points over 4 processes
     python -m repro fig7 --no-cache      # recompute instead of replaying
-    python -m repro fig3a --engine compiled   # trace-compiled replay path
     python -m repro profile fig7 --top 10   # cProfile one sweep point
     REPRO_BENCH_SCALE=full python -m repro fig3a   # paper's full grid
 
@@ -72,23 +71,6 @@ def _add_perf_options(parser: argparse.ArgumentParser) -> None:
         "--cache-clear",
         action="store_true",
         help="empty the result cache (REPRO_CACHE_DIR or ~/.cache/repro) first",
-    )
-
-
-def _add_engine_option(parser: argparse.ArgumentParser) -> None:
-    """Attach the executor-path knob (``--engine generators|compiled``)."""
-    from repro.interleaving.compiled import ENGINE_MODES
-
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default=None,
-        help=(
-            "executor path: 'compiled' replays trace-compiled interleave "
-            "schedules where the shape supports it (counted generator "
-            "fallback otherwise); 'generators' forces the live coroutine "
-            "simulator (the default mode)"
-        ),
     )
 
 
@@ -338,7 +320,6 @@ def _serve_main(argv: list[str]) -> int:
         ),
     )
     _add_perf_options(parser)
-    _add_engine_option(parser)
     args = parser.parse_args(argv)
     _configure_perf(args)
 
@@ -357,18 +338,15 @@ def _serve_main(argv: list[str]) -> int:
         print(f"serve: {error}", file=sys.stderr)
         return 2
 
-    from repro.interleaving.compiled import use_engine
-
     try:
-        with use_engine(args.engine):
-            if args.trace_requests is None:
-                doc = run_scenario(scenario, seed=args.seed, faults=faults)
-            else:
-                doc, traced = run_traced_scenario(
-                    scenario, seed=args.seed, faults=faults
-                )
-                for path in _write_trace_artifacts(args.trace_requests, traced):
-                    print(f"trace artifact: {path}", file=sys.stderr)
+        if args.trace_requests is None:
+            doc = run_scenario(scenario, seed=args.seed, faults=faults)
+        else:
+            doc, traced = run_traced_scenario(
+                scenario, seed=args.seed, faults=faults
+            )
+            for path in _write_trace_artifacts(args.trace_requests, traced):
+                print(f"trace artifact: {path}", file=sys.stderr)
     except ReproError as error:
         print(f"serve failed: {error}", file=sys.stderr)
         return 1
@@ -726,7 +704,6 @@ def _profile_main(argv: list[str]) -> int:
         metavar="N",
         help="functions to print, by cumulative time (default 20)",
     )
-    _add_engine_option(parser)
     args = parser.parse_args(argv)
 
     if args.experiment not in available_experiments():
@@ -739,11 +716,7 @@ def _profile_main(argv: list[str]) -> int:
         size_grid,
     )
     from repro.errors import ReproError
-    from repro.interleaving.compiled import (
-        compiled_timings,
-        reset_compiled_stats,
-        use_engine,
-    )
+    from repro.interleaving.compiled import compiled_timings, reset_compiled_stats
 
     n = min(lookups_per_point(), 400)
     query_experiments = {"fig1", "fig8", "table1", "table2"}
@@ -753,14 +726,13 @@ def _profile_main(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    engine_label = "" if args.engine is None else f", engine={args.engine}"
     if args.experiment in query_experiments:
         point = lambda: measure_query(  # noqa: E731
             size_grid()[-1], "main", "interleaved", n_predicates=n
         )
         label = (
             f"measure_query({size_grid()[-1]} B, main, interleaved, "
-            f"n={n}{engine_label})"
+            f"n={n})"
         )
     else:
         size = 256 << 20 if args.experiment == "fig7" else size_grid()[-1]
@@ -770,17 +742,15 @@ def _profile_main(argv: list[str]) -> int:
         )
         label = (
             f"measure_binary_search({size} B, CORO, {element}, "
-            f"n={n}{engine_label})"
+            f"n={n})"
         )
 
-    # Profile the path the flag asks for: with --engine compiled the
-    # point runs the trace-compiled replay, and the staging cost (a
+    # Compilable runs replay staged schedules; the staging cost (a
     # one-time compile) is reported separately from the replay cost so
-    # the profile is not misread as "compiled replay is slow".
+    # the profile is not misread as "replay is slow".
     reset_compiled_stats()
     try:
-        with use_engine(args.engine):
-            _result, report = profile_call(point, top=args.top)
+        _result, report = profile_call(point, top=args.top)
     except ReproError as error:
         print(f"profile failed: {error}", file=sys.stderr)
         return 1
@@ -789,7 +759,7 @@ def _profile_main(argv: list[str]) -> int:
     timings = compiled_timings()
     if timings["schedule_compile_s"] or timings["replay_s"]:
         print(
-            f"compiled engine: schedule_compile_s="
+            f"staged schedules: schedule_compile_s="
             f"{timings['schedule_compile_s']:.4f} "
             f"replay_s={timings['replay_s']:.4f}"
         )
@@ -834,7 +804,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print each experiment's data document as JSON instead of ASCII",
     )
     _add_perf_options(parser)
-    _add_engine_option(parser)
     args = parser.parse_args(argv)
 
     if args.experiments == ["list"]:  # pragma: no cover - intercepted above
@@ -850,7 +819,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for name in args.experiments:
         try:
-            doc = run_experiment_data(name, engine=args.engine)
+            doc = run_experiment_data(name)
         except ReproError as error:
             print(f"{name} failed: {error}", file=sys.stderr)
             return 1

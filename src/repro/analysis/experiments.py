@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from repro.config import HASWELL, ArchSpec
 from repro.errors import WorkloadError
 from repro.indexes.binary_search import DEFAULT_COSTS, SearchCosts
-from repro.interleaving.compiled import resolve_executor
 from repro.interleaving.executor import BulkLookup, get_executor, paper_techniques
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.sim.engine import ExecutionEngine
@@ -206,16 +205,9 @@ def run_binary_search_technique(
     values,
     group_size: int,
     costs: SearchCosts = DEFAULT_COSTS,
-    engine_mode: str | None = None,
 ) -> list[int]:
-    """Dispatch one bulk binary search through the executor registry.
-
-    ``engine_mode`` is the ``"generators"|"compiled"`` knob (``None``
-    defers to the process-wide :func:`repro.interleaving.use_engine`
-    scope): with ``"compiled"``, techniques that have a trace-compiled
-    twin run through it instead of the generator machinery.
-    """
-    return resolve_executor(technique, engine_mode).run(
+    """Dispatch one bulk binary search through the executor registry."""
+    return get_executor(technique).run(
         BulkLookup.sorted_array(table, values, costs),
         engine,
         group_size=group_size,
@@ -233,7 +225,6 @@ def measure_binary_search(
     warm_with_same_values: bool = False,
     arch: ArchSpec = HASWELL,
     seed: int = 0,
-    engine: str | None = None,
 ) -> BinarySearchPoint:
     """Measure one sweep point (warm-up pass + measured pass).
 
@@ -243,10 +234,6 @@ def measure_binary_search(
     *different* list, modeling steady state across distinct queries.
     Figure 4's sorted-lookup experiment needs the former — its benefit
     is precisely about reuse distance under repetition.
-
-    ``engine="compiled"`` routes both the warm-up and the measured pass
-    through the trace-compiled executor twins — identical cycle counts,
-    a fraction of the wallclock (see :mod:`repro.interleaving.compiled`).
     """
     if technique not in DEFAULT_GROUP_SIZES:
         raise WorkloadError(f"unknown technique {technique!r}")
@@ -259,13 +246,11 @@ def measure_binary_search(
     warm_seed = seed if warm_with_same_values else seed + 977
     warm_values = values_fn(n_lookups, table, warm_seed, element)
 
-    engine_mode = engine
     engine = warmed_engine(
         arch,
         [table.region],
         lambda warm: run_binary_search_technique(
-            warm, technique, table, warm_values, group_size,
-            engine_mode=engine_mode,
+            warm, technique, table, warm_values, group_size
         ),
     )
     memory = engine.memory
@@ -273,7 +258,7 @@ def measure_binary_search(
     walks_before = dict(memory.tlb.stats.walks_by_level)
     translation_before = 0  # fresh engine: tmam starts at zero
     results = run_binary_search_technique(
-        engine, technique, table, values, group_size, engine_mode=engine_mode
+        engine, technique, table, values, group_size
     )
     engine.settle()
     if len(results) != n_lookups:

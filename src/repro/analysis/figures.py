@@ -33,7 +33,6 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.loc import table5_metrics
 from repro.analysis.reporting import ascii_chart, format_pct, format_size, format_table, series_table
-from repro.interleaving.compiled import default_engine, use_engine
 from repro.perf import default_runner
 from repro.sim.memory import HIT_LEVELS
 from repro.sim.tmam import CATEGORIES
@@ -87,9 +86,7 @@ def _binary_sweep(element: str, sort_lookups: bool = False) -> tuple[list, dict]
     # Every (technique, size) point is independent, so the whole grid
     # goes through the sweep runner in one call; results come back in
     # grid order, which keeps the regrouped dict identical to the old
-    # nested loops regardless of the job count.  The engine mode is
-    # captured here (not in the worker) so a ``use_engine("compiled")``
-    # scope around the sweep survives the hop into worker processes.
+    # nested loops regardless of the job count.
     sizes = size_grid()
     grid = binary_sweep_grid(sizes)
     results = default_runner().map(
@@ -100,7 +97,6 @@ def _binary_sweep(element: str, sort_lookups: bool = False) -> tuple[list, dict]
             "n_lookups": lookups_per_point(),
             "sort_lookups": sort_lookups,
             "warm_with_same_values": sort_lookups,
-            "engine": default_engine(),
         },
     )
     points: dict[str, list] = {technique: [] for technique in TECHNIQUES}
@@ -213,7 +209,7 @@ def fig7_data() -> dict:
     results = default_runner().map(
         measure_binary_search,
         grid,
-        common={"n_lookups": n, "engine": default_engine()},
+        common={"n_lookups": n},
     )
     curves = {
         technique: [
@@ -334,26 +330,19 @@ def available_experiments() -> list[str]:
     return sorted(EXPERIMENTS)
 
 
-def run_experiment_data(name: str, engine: str | None = None) -> dict:
-    """Run ``name`` and return its machine-readable data document.
-
-    ``engine`` selects the executor path for the duration of the run:
-    ``"generators"`` (the live coroutine simulator), ``"compiled"``
-    (trace-compiled replay where the shape supports it), or ``None`` to
-    keep the ambient :func:`repro.interleaving.default_engine` mode.
-    """
+def run_experiment_data(name: str) -> dict:
+    """Run ``name`` and return its machine-readable data document."""
     try:
         experiment = EXPERIMENTS[name]
     except KeyError:
         raise KeyError(
             f"unknown experiment {name!r}; available: {', '.join(available_experiments())}"
         ) from None
-    with use_engine(engine):
-        doc = experiment()
+    doc = experiment()
     doc["experiment"] = name
     return doc
 
 
-def run_experiment(name: str, engine: str | None = None) -> str:
+def run_experiment(name: str) -> str:
     """Run ``name`` and return the rendered ASCII table/figure."""
-    return render_experiment_data(run_experiment_data(name, engine=engine))
+    return render_experiment_data(run_experiment_data(name))

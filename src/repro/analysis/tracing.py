@@ -32,7 +32,7 @@ from repro.analysis.experiments import (
     run_binary_search_technique,
     warmed_engine,
 )
-from repro.interleaving.compiled import register_compiled_metrics
+from repro.interleaving.compiled import compiled_stats
 from repro.interleaving.executor import BulkLookup, get_executor
 from repro.obs.export import run_summary, write_run_artifacts
 from repro.obs.spans import SpanRecorder
@@ -110,6 +110,7 @@ def traced_point(
     worker process; what travels back is the recorder plus the summary
     record ``trace_experiment`` aggregates.
     """
+    before = compiled_stats()
     engine, recorder = traced_run(
         technique,
         size_bytes=size_bytes,
@@ -117,10 +118,25 @@ def traced_point(
         arch=arch,
         seed=seed,
     )
-    # Traced runs always take the generator path (span recording is a
-    # fallback reason for the compiled twins); mounting the counters
-    # makes that visible in the summary as ``compiled_fallbacks``.
-    register_compiled_metrics(engine.metrics)
+    # The traced pass takes the generator path (span recording is a
+    # fallback reason for staged-schedule replay), which the point's own
+    # replay and fallback counts show in the summary. The process-wide
+    # staging counts and host timings depend on what ran earlier in the
+    # process, so they stay out: the summary is the same at any job count.
+    after = compiled_stats()
+    counts = {
+        "replays": after["replays"] - before["replays"],
+        "compiled_fallbacks": after["fallbacks"] - before["fallbacks"],
+        **{
+            key: {
+                name: count - before[key].get(name, 0)
+                for name, count in after[key].items()
+                if count != before[key].get(name, 0)
+            }
+            for key in ("fallbacks_by_reason", "fallbacks_by_executor")
+        },
+    }
+    engine.metrics.register_source("interleaving.compiled", lambda: counts)
     record = {
         "cycles": engine.clock,
         "issue_width": engine.cost.issue_width,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.config import HASWELL, ArchSpec
-from repro.errors import WorkloadError
+from repro.errors import PerfError, WorkloadError
 
 __all__ = [
     "ExperimentResult",
@@ -280,16 +280,23 @@ def _perf_scope(jobs: int | None, cache):
     """Sweep-execution scope for one facade call.
 
     ``jobs``/``cache`` override the process-wide :mod:`repro.perf`
-    defaults for the duration of the call; leaving both unset keeps
-    whatever the embedding application configured (serial and uncached
-    out of the box).
+    defaults for the duration of the call, each only when passed; an
+    unset one keeps whatever the embedding application configured
+    (serial and uncached out of the box). A ``jobs`` that is not an int
+    of at least 1, or a ``cache`` that is not a
+    :class:`~repro.perf.ResultCache`, raises
+    :class:`~repro.errors.PerfError` before any work starts.
     """
-    from contextlib import nullcontext
-
     from repro import perf
 
-    if jobs is None and cache is None:
-        return nullcontext()
+    if jobs is not None and (
+        isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1
+    ):
+        raise PerfError(f"jobs must be an int >= 1, got {jobs!r}")
+    if cache is not None and not isinstance(cache, perf.ResultCache):
+        raise PerfError(
+            f"cache must be a repro.perf.ResultCache, got {type(cache).__name__}"
+        )
     return perf.overrides(jobs=jobs, cache=cache)
 
 
@@ -298,7 +305,6 @@ def run_experiment(
     *,
     jobs: int | None = None,
     cache=None,
-    engine: str | None = None,
 ) -> ExperimentResult:
     """Run one paper experiment (table/figure) by name.
 
@@ -306,10 +312,7 @@ def run_experiment(
     data document plus a renderer instead of printed text. ``jobs``
     fans the experiment's sweep across worker processes; ``cache``
     (a :class:`~repro.perf.ResultCache`) replays previously computed
-    points; ``engine="compiled"`` routes compilable sweep points
-    through the trace-compiled replay path (``"generators"`` forces
-    the live coroutine simulator, ``None`` keeps the ambient mode).
-    All three leave the document bit-identical.
+    points. Both leave the document bit-identical.
     """
     from repro.analysis.figures import available_experiments, run_experiment_data
 
@@ -319,9 +322,7 @@ def run_experiment(
             f"{', '.join(available_experiments())}"
         )
     with _perf_scope(jobs, cache):
-        return ExperimentResult(
-            name=name, doc=run_experiment_data(name, engine=engine)
-        )
+        return ExperimentResult(name=name, doc=run_experiment_data(name))
 
 
 def serve(

@@ -20,7 +20,6 @@ import numpy as np
 from repro.errors import ColumnStoreError
 from repro.indexes.base import INVALID_CODE
 from repro.indexes.binary_search import DEFAULT_COSTS, SearchCosts
-from repro.interleaving.compiled import resolve_executor
 from repro.interleaving.executor import BulkLookup, get_executor
 from repro.interleaving.policies import ExecutionPolicy, choose_policy_for_bytes
 from repro.sim.allocator import AddressSpaceAllocator
@@ -140,7 +139,7 @@ class EncodedColumn:
         tasks = BulkLookup.stream(
             lambda c, il: dictionary.extract_stream(c, il), codes
         )
-        return resolve_executor(_STRATEGY_EXECUTORS[strategy]).run(
+        return get_executor(_STRATEGY_EXECUTORS[strategy]).run(
             tasks, engine, group_size=group_size
         )
 
@@ -246,9 +245,6 @@ class EncodedColumn:
             strategy=strategy, group_size=group_size, policy=policy,
         )
         executor_name, job, post = self.locate_job(values, strategy, costs)
-        # The engine knob routes compilable locates (GP/AMAC against the
-        # sorted Main array) through their trace-compiled twins; stream
-        # locates fall back (counted) inside the twin.
         return post(
-            resolve_executor(executor_name).run(job, engine, group_size=group_size)
+            get_executor(executor_name).run(job, engine, group_size=group_size)
         )

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.interleaving.compiled import resolve_executor
 from repro.interleaving.executor import get_executor
 from repro.interleaving.policies import degraded_group_size
 from repro.obs.hist import nearest_rank
@@ -339,9 +338,9 @@ class AdaptiveController:
         elif calm and plain:
             target = plain[0]
             why = "deep lull"
-        if target is None or resolve_executor(target).name == server.executor.name:
+        if target is None or get_executor(target).name == server.executor.name:
             return
-        server.executor = resolve_executor(target)
+        server.executor = get_executor(target)
         server.group_size = self._base_group(server)
         actions["technique"] = server.executor.name
         actions["group_size"] = server.group_size
@@ -438,7 +437,7 @@ class AdaptiveController:
             return 1
         if (
             server.config.group_size
-            and server.executor.name == resolve_executor(server.config.technique).name
+            and server.executor.name == get_executor(server.config.technique).name
         ):
             return server.config.group_size
         return server.executor.default_group_size

@@ -12,11 +12,10 @@
 * :mod:`~repro.interleaving.executor` — the Executor protocol, the
   string-keyed registry all layers dispatch through, and the batching
   :class:`~repro.interleaving.executor.BulkPipeline`.
-* :mod:`~repro.interleaving.compiled` — trace-compiled executor twins
-  (``CORO-compiled`` and kin) that stage each technique's interleave
-  schedule once and replay it without generators, plus the
-  ``engine="generators"|"compiled"`` knob (:func:`use_engine`,
-  :func:`resolve_executor`).
+* :mod:`~repro.interleaving.compiled` — trace compilation: the
+  registry executors stage each technique's interleave schedule once
+  and replay it without generators whenever a job compiles, counting
+  every fallback (:func:`compiled_stats`).
 """
 
 from repro.interleaving.amac import (
@@ -44,17 +43,11 @@ from repro.interleaving.executor import (
     register_executor,
 )
 from repro.interleaving.compiled import (
-    COMPILED_TWINS,
-    ENGINE_MODES,
     compiled_metrics_source,
     compiled_stats,
     compiled_timings,
-    default_engine,
     register_compiled_metrics,
     reset_compiled_stats,
-    resolve_executor,
-    set_default_engine,
-    use_engine,
 )
 from repro.interleaving.gp import gp_binary_search_bulk
 from repro.interleaving.handle import CoroutineHandle, FramePool
@@ -101,17 +94,11 @@ __all__ = [
     "choose_policy",
     "choose_policy_for_bytes",
     "default_group_size",
-    "COMPILED_TWINS",
-    "ENGINE_MODES",
     "compiled_metrics_source",
     "compiled_stats",
     "compiled_timings",
-    "default_engine",
     "register_compiled_metrics",
     "reset_compiled_stats",
-    "resolve_executor",
-    "set_default_engine",
-    "use_engine",
     "EXECUTOR_REGISTRY",
     "WORKLOAD_KINDS",
     "BulkLookup",

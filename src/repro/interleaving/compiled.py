@@ -1,4 +1,4 @@
-"""Trace-compiled executors: staged interleave schedules, replayed flat.
+"""Trace compilation: staged interleave schedules, replayed flat.
 
 For a fixed (technique, group size, index shape) the suspend/resume
 sequence of every scheduler in this package is *deterministic*: which
@@ -14,7 +14,7 @@ module does the Python-simulator equivalent:
    schedule*: a table of ``(event_kind, address_index, cycle_cost)`` rows
    with consecutive straight-line computes pre-merged. The staging is
    verified against a real recorded trace: the first time a (technique,
-   group size) pair compiles, the live generator executor runs on a small
+   group size) pair compiles, the executor's generators run on a small
    calibration table under a recording engine, and the schedule must
    reproduce that event stream byte for byte (a mismatch is a hard
    :class:`~repro.errors.SimulationError`, never a silent wrong answer).
@@ -33,21 +33,25 @@ module does the Python-simulator equivalent:
    results, and counters, because every arithmetic step is the same
    integer arithmetic :mod:`repro.sim.engine` performs.
 
-Compiled schedules are memoized in-process and persisted through the
-content-addressed :class:`~repro.perf.cache.ResultCache` (when
-``repro.perf`` has one configured), keyed on the schedule parameters plus
-the simulator source fingerprint — editing any simulation source
-invalidates every stored schedule.
+There is no separate compiled executor: ``Baseline``, ``GP``, ``AMAC``,
+``CORO`` and ``sequential`` declare a schedule key and route every run
+through :func:`run_staged`, which replays when the job compiles — a
+sorted-array job with search depth >= 1 on a plain
+:class:`~repro.sim.engine.ExecutionEngine` whose tracer is off, run by
+a default executor instance — and otherwise runs the executor's
+generators and counts the fallback by executor and by reason
+(``workload_kind``, ``tracer``, ``engine_subclass``, ``shallow_table``,
+``executor_options``). The counters are exported through
+``repro.perf.metrics`` under ``interleaving.compiled``.
 
-Shapes the trace can not represent fall back — **counted** — to the
-generator twin: non-array workloads (CSB+-tree, hash probes, raw
-streams), traced runs (span recorders need the live event stream),
-engine subclasses, and degenerate one-element tables. The counters are
-exported through ``repro.perf.metrics`` under ``interleaving.compiled``.
+Staged schedules are memoized in-process as compact integer arrays,
+least recently used first out once the memo holds more than
+:data:`_MEMO_ROW_BUDGET` rows.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
@@ -56,41 +60,21 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import SimulationError
 from repro.indexes.binary_search import DEFAULT_COSTS
-from repro.interleaving.executor import (
-    CSB_TREE,
-    HASH_PROBE,
-    SORTED_ARRAY,
-    WORKLOAD_KINDS,
-    BulkLookup,
-    _ExecutorBase,
-    get_executor,
-    register_executor,
-)
 from repro.sim.allocator import PAGE_TABLE_BASE
 from repro.sim.engine import ExecutionEngine
 from repro.sim.lfb import FillRequest
 from repro.sim.tlb import PTE_SIZE
 
 __all__ = [
-    "ENGINE_MODES",
-    "COMPILED_TWINS",
-    "default_engine",
-    "set_default_engine",
-    "use_engine",
-    "resolve_executor",
     "compiled_stats",
     "compiled_timings",
     "compiled_metrics_source",
     "register_compiled_metrics",
     "reset_compiled_stats",
+    "run_staged",
     "search_depth",
-    "CompiledBaselineExecutor",
-    "CompiledGpExecutor",
-    "CompiledAmacExecutor",
-    "CompiledCoroExecutor",
-    "CompiledSequentialExecutor",
 ]
 
 # ----------------------------------------------------------------------
@@ -101,8 +85,6 @@ _STATS = {
     "replays": 0,
     "compiled_schedules": 0,
     "schedule_cache_hits": 0,
-    "result_cache_hits": 0,
-    "result_cache_stores": 0,
     "validations": 0,
     "fallbacks": 0,
     "fallbacks_by_reason": {},
@@ -131,9 +113,9 @@ def compiled_timings() -> dict:
 def compiled_metrics_source() -> dict:
     """Metrics-source view of the counters (see ``register_compiled_metrics``).
 
-    The headline counter is ``compiled_fallbacks`` — bulk runs a compiled
-    twin routed back through its generator twin instead of replaying a
-    staged schedule.
+    The headline counter is ``compiled_fallbacks`` — runs of a
+    schedule-bearing executor that took its generators instead of
+    replaying a staged schedule.
     """
     stats = compiled_stats()
     stats["compiled_fallbacks"] = stats.pop("fallbacks")
@@ -143,11 +125,10 @@ def compiled_metrics_source() -> dict:
 def register_compiled_metrics(registry, prefix: str = "interleaving.compiled") -> None:
     """Mount the compile/replay/fallback counters on an obs registry.
 
-    The counters are process-global (the schedule caches they describe
-    are too), so the source is opt-in per
+    The counters are process-global (the schedule memo they describe
+    is too), so the source is opt-in per
     :class:`~repro.obs.metrics.MetricsRegistry` rather than wired into
-    every engine — the tracing harness mounts it so run-summary
-    artifacts carry ``compiled_fallbacks``.
+    every engine.
     """
     registry.register_source(prefix, compiled_metrics_source)
 
@@ -172,74 +153,60 @@ def _count_fallback(executor_name: str, reason: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# The engine knob: generators vs compiled
+# Dispatch: replay when the job compiles, else the executor's generators
 # ----------------------------------------------------------------------
 
-#: Accepted values for the ``engine=`` knob.
-ENGINE_MODES = ("generators", "compiled")
-
-#: Generator technique (registry key, lower case) -> compiled twin key.
-COMPILED_TWINS = {
-    "baseline": "baseline-compiled",
-    "gp": "gp-compiled",
-    "amac": "amac-compiled",
-    "coro": "coro-compiled",
-    "interleaved": "coro-compiled",
-    "sequential": "sequential-compiled",
-}
-
-_ENGINE_STATE = {"mode": "generators"}
-
-
-def _check_mode(mode: str | None) -> str:
-    if mode is None:
-        return "generators"
-    if mode not in ENGINE_MODES:
-        raise WorkloadError(
-            f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
-        )
-    return mode
-
-
-def default_engine() -> str:
-    """The process-wide engine mode (``"generators"`` unless overridden)."""
-    return _ENGINE_STATE["mode"]
-
-
-def set_default_engine(mode: str | None) -> str:
-    """Set the process-wide engine mode; returns the previous mode."""
-    previous = _ENGINE_STATE["mode"]
-    _ENGINE_STATE["mode"] = _check_mode(mode)
-    return previous
+_GENERATORS_ONLY = False
 
 
 @contextmanager
-def use_engine(mode: str | None):
-    """Scoped engine-mode override (``None`` is a no-op passthrough)."""
-    if mode is None:
-        yield
-        return
-    previous = set_default_engine(mode)
+def _generators_only():
+    """Run every executor on its generators for the scope (reference runs).
+
+    Process-local: sweep workers see it only when they fork inside the
+    scope. Runs inside the scope count no fallbacks.
+    """
+    global _GENERATORS_ONLY
+    previous = _GENERATORS_ONLY
+    _GENERATORS_ONLY = True
     try:
         yield
     finally:
-        _ENGINE_STATE["mode"] = previous
+        _GENERATORS_ONLY = previous
 
 
-def resolve_executor(name: str, engine: str | None = None):
-    """Resolve an executor name through the engine knob.
+def run_staged(executor, tasks, engine, group_size: int) -> list:
+    """Run ``tasks`` through ``executor``'s staged schedule when it compiles.
 
-    With ``engine="compiled"`` (or a ``use_engine("compiled")`` scope in
-    effect) techniques that have a compiled twin resolve to it; every
-    other name — including explicit ``*-compiled`` names — resolves
-    exactly as :func:`~repro.interleaving.executor.get_executor` would.
+    ``executor.schedule`` names the schedule builder and
+    ``executor._fallback_reason(tasks, engine)`` says why a job can not
+    replay (``None`` when it can). A job that can not runs the
+    executor's generators (``executor._run``), counted as a fallback.
     """
-    mode = _check_mode(engine) if engine is not None else _ENGINE_STATE["mode"]
-    if mode == "compiled":
-        twin = COMPILED_TWINS.get(str(name).lower())
-        if twin is not None:
-            return get_executor(twin)
-    return get_executor(name)
+    if _GENERATORS_ONLY or not tasks.inputs:
+        return executor._run(tasks, engine, group_size)
+    reason = executor._fallback_reason(tasks, engine)
+    if reason is not None:
+        _count_fallback(executor.name, reason)
+        return executor._run(tasks, engine, group_size)
+    table = tasks.target
+    depth = search_depth(table.size)
+    _validate_staging(executor, group_size, engine.arch)
+    costs = tasks.costs.for_table(table)
+    rows, totals = _schedule_rows(
+        executor.schedule,
+        len(tasks.inputs),
+        depth,
+        group_size,
+        (costs.iter_cycles, costs.iter_instructions),
+        engine.cost,
+    )
+    started = perf_counter()
+    addresses, results = _probe_addresses(table, tasks.inputs, depth)
+    out = _replay(engine, rows, totals, addresses, table.element_size, results)
+    _STATS["replay_s"] += perf_counter() - started
+    _STATS["replays"] += 1
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -375,34 +342,25 @@ _OPS_BUILDERS = {
     "coro": _ops_coro,
 }
 
-#: Compiled technique key -> generator-twin registry key.
-_GENERATOR_TWIN = {
-    "baseline": "baseline",
-    "sequential": "sequential",
-    "gp": "gp",
-    "amac": "amac",
-    "coro": "coro",
-}
-
 
 # ----------------------------------------------------------------------
 # Lowering: symbolic ops -> replay rows
 # ----------------------------------------------------------------------
 #
-# Replay rows are uniform 4-tuples (opcode, flat_index, advance,
-# instructions):
-#   (1, flat_index, adv, ins)   demand load of addresses[flat_index]
-#   (2, flat_index, adv, ins)   software prefetch of addresses[flat_index]
-#   (0, 0, adv, ins)            trailing pure compute (end of schedule)
-# where flat_index = key * depth + iteration, and (adv, ins) is the
+# Replay rows are ``(opcode, flat_index, advance)`` triples:
+#   (1, flat_index, adv)   demand load of addresses[flat_index]
+#   (2, flat_index, adv)   software prefetch of addresses[flat_index]
+#   (0, 0, adv)            trailing pure compute (end of schedule)
+# where flat_index = key * depth + iteration, and adv is the
 # straight-line compute block *preceding* the memory operation —
 # switches, search iterations, and frame allocations merged into one
-# pre-normalized clock advance + instruction count. Merging is exact
-# because the engine normalizes each compute's advance independently
-# before the clock moves (integer arithmetic, order-free sum). The
-# prefetch instruction's own issue compute is inlined in the replay
-# handler (it sits between the translation and the fill, so it can
-# never merge with neighbours).
+# pre-normalized clock advance. Merging is exact because the engine
+# normalizes each compute's advance independently before the clock
+# moves (integer arithmetic, order-free sum). The prefetch
+# instruction's own issue compute is inlined in the replay handler (it
+# sits between the translation and the fill, so it can never merge
+# with neighbours). A staged schedule stores its rows column-wise in
+# one ``(3, n_rows)`` int64 array; a replay expands it to Python ints.
 
 
 def _advance(cycles: int, instructions: int, issue_width: int) -> int:
@@ -412,7 +370,7 @@ def _advance(cycles: int, instructions: int, issue_width: int) -> int:
 
 
 def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
-    """Lower symbolic ops to ``(op, flat_index, advance)`` rows + totals.
+    """Lower symbolic ops to a ``(3, n_rows)`` row array + static totals.
 
     Instruction retirement and issue-slot accounting are *static* per
     schedule — every compute charge is known at staging time, and the
@@ -433,55 +391,50 @@ def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
     pf_advance = _advance(
         cost_model.prefetch_issue_cycles, pf_instructions, issue_width
     )
-    rows: list = []
-    append = rows.append
+    opcodes: list = []
+    indexes: list = []
+    advances: list = []
     pending_advance = 0
-    pending_instructions = 0
     instructions_total = 0
     advance_total = 0
     for op in ops:
         tag = op[0]
-        if tag == "L":
-            append((1, op[1] * depth + op[2], pending_advance))
+        if tag == "L" or tag == "P":
+            opcodes.append(1 if tag == "L" else 2)
+            indexes.append(op[1] * depth + op[2])
+            advances.append(pending_advance)
             pending_advance = 0
-        elif tag == "P":
-            append((2, op[1] * depth + op[2], pending_advance))
-            pending_advance = 0
-            instructions_total += pf_instructions
-            advance_total += pf_advance
+            if tag == "P":
+                instructions_total += pf_instructions
+                advance_total += pf_advance
         elif tag == "IT":
             pending_advance += iter_advance
             instructions_total += iter_instructions
             advance_total += iter_advance
-        elif tag == "SW":
-            cycles, instructions = switch_costs[op[1]]
-            step = _advance(cycles, instructions, issue_width)
-            pending_advance += step
-            instructions_total += instructions
-            advance_total += step
-        else:  # "F"
-            cycles, instructions = frame_cost
+        else:  # "SW" or "F"
+            cycles, instructions = (
+                switch_costs[op[1]] if tag == "SW" else frame_cost
+            )
             step = _advance(cycles, instructions, issue_width)
             pending_advance += step
             instructions_total += instructions
             advance_total += step
     if pending_advance:
-        append((0, 0, pending_advance))
+        opcodes.append(0)
+        indexes.append(0)
+        advances.append(pending_advance)
     core_slots_total = issue_width * advance_total - instructions_total
+    rows = np.array([opcodes, indexes, advances], dtype=np.int64)
     return rows, (instructions_total, core_slots_total)
 
 
-#: In-process schedule memo: signature tuple -> (rows, totals).
-_SCHEDULE_MEMO: dict = {}
+#: In-process schedule memo: signature tuple -> (rows, totals), least
+#: recently used first.
+_SCHEDULE_MEMO: OrderedDict = OrderedDict()
 
-
-def _persistent_cache():
-    """The repro.perf result cache, when one is configured (may be None)."""
-    try:
-        from repro import perf
-    except Exception:  # pragma: no cover - perf is always importable here
-        return None
-    return perf._config.cache
+#: Rows the memo keeps before it evicts its least recently used
+#: schedules (24 bytes a row; the newest schedule always stays).
+_MEMO_ROW_BUDGET = 1 << 21
 
 
 def _schedule_rows(
@@ -489,8 +442,8 @@ def _schedule_rows(
 ) -> tuple:
     """Stage (or recall) the flattened event schedule for one shape.
 
-    Returns ``(rows, totals)`` where ``totals`` is the static
-    ``(instructions, core_slots)`` accounting of the whole schedule.
+    Returns ``(rows, totals)``: the ``(3, n_rows)`` row array and the
+    static ``(instructions, core_slots)`` accounting of the schedule.
     """
     signature = (
         technique,
@@ -505,31 +458,21 @@ def _schedule_rows(
         (cost_model.prefetch_issue_cycles, cost_model.prefetch_issue_instructions),
         cost_model.issue_width,
     )
-    staged = _SCHEDULE_MEMO.get(signature)
+    memo = _SCHEDULE_MEMO
+    staged = memo.get(signature)
     if staged is not None:
+        memo.move_to_end(signature)
         _STATS["schedule_cache_hits"] += 1
         return staged
     started = perf_counter()
-    cache = _persistent_cache()
-    key = None
-    if cache is not None:
-        key = cache.key(_schedule_rows, signature)
-        if key is not None:
-            hit, value = cache.lookup(key)
-            if hit:
-                _STATS["result_cache_hits"] += 1
-                rows, totals = value
-                staged = ([tuple(row) for row in rows], tuple(totals))
-                _SCHEDULE_MEMO[signature] = staged
-                _STATS["schedule_compile_s"] += perf_counter() - started
-                return staged
     ops = _OPS_BUILDERS[technique](n, depth, group_size)
     staged = _lower_rows(ops, depth, iter_cost, cost_model)
-    _SCHEDULE_MEMO[signature] = staged
+    memo[signature] = staged
+    held = sum(rows.shape[1] for rows, _totals in memo.values())
+    while held > _MEMO_ROW_BUDGET and len(memo) > 1:
+        _signature, (rows, _totals) = memo.popitem(last=False)
+        held -= rows.shape[1]
     _STATS["compiled_schedules"] += 1
-    if key is not None:
-        cache.put(key, staged)
-        _STATS["result_cache_stores"] += 1
     _STATS["schedule_compile_s"] += perf_counter() - started
     return staged
 
@@ -650,16 +593,17 @@ def _expand_expected(ops, addresses, depth, iter_cost, element_size, cost):
     return expected
 
 
-def _validate_staging(technique: str, group_size: int, arch) -> None:
-    """Record the live executor once; the staged schedule must match it.
+def _validate_staging(executor, group_size: int, arch) -> None:
+    """Record the executor's generators once; the staged schedule must match.
 
-    Runs the generator twin on a small calibration table under a
-    :class:`_RecordingEngine` and compares its event stream — addresses,
-    sizes, and compute charges included — against the staged ops expanded
-    with the calibration probe addresses. Covers the schedule structure
-    end to end: prologue allocations, refill timing, partial final
-    generations, and the per-visit event mix.
+    Runs ``executor``'s generators on a small calibration table under a
+    :class:`_RecordingEngine` and compares their event stream —
+    addresses, sizes, and compute charges included — against the staged
+    ops expanded with the calibration probe addresses. Covers the
+    schedule structure end to end: prologue allocations, refill timing,
+    partial final generations, and the per-visit event mix.
     """
+    technique = executor.schedule
     cost = arch.cost
     signature = (
         technique,
@@ -674,6 +618,7 @@ def _validate_staging(technique: str, group_size: int, arch) -> None:
     if signature in _VALIDATED:
         return
     from repro.indexes.sorted_array import int_array_of_bytes
+    from repro.interleaving.executor import BulkLookup
     from repro.sim.allocator import AddressSpaceAllocator
 
     table = int_array_of_bytes(
@@ -683,8 +628,7 @@ def _validate_staging(technique: str, group_size: int, arch) -> None:
     n = 2 * group_size + max(2, group_size // 2)  # 2 generations + a partial
     values = [(index * 97 + 13) % table.size for index in range(n)]
     recorder = _RecordingEngine(arch)
-    twin = get_executor(_GENERATOR_TWIN[technique])
-    recorded_results = twin._run(
+    recorded_results = executor._run(
         BulkLookup.sorted_array(table, values), recorder, group_size
     )
     iter_cost = (DEFAULT_COSTS.iter_cycles, DEFAULT_COSTS.iter_instructions)
@@ -707,7 +651,7 @@ def _validate_staging(technique: str, group_size: int, arch) -> None:
 # ----------------------------------------------------------------------
 
 
-def _replay_generic(engine: ExecutionEngine, rows: list, totals: tuple,
+def _replay_generic(engine: ExecutionEngine, rows, totals: tuple,
                     addresses: list, element_size: int, results: list) -> list:
     """Execute a staged schedule against the live engine state (reference).
 
@@ -1465,9 +1409,10 @@ def _specialized_impl(engine: ExecutionEngine):
     return impl
 
 
-def _replay(engine: ExecutionEngine, rows: list, totals: tuple, addresses: list,
+def _replay(engine: ExecutionEngine, rows, totals: tuple, addresses: list,
             element_size: int, results: list) -> list:
-    """Replay a staged schedule: specialized loop, generic fallback."""
+    """Replay a staged ``(3, n_rows)`` schedule: specialized loop, generic fallback."""
+    rows = zip(*rows.tolist())
     memory = engine.memory
     line_size = memory.line_size
     addresses_np = np.asarray(addresses, dtype=np.int64)
@@ -1555,110 +1500,3 @@ def _replay(engine: ExecutionEngine, rows: list, totals: tuple, addresses: list,
     lfbs.peak_occupancy = peak_occupancy
     lfbs._next_completion = next_completion
     return results
-
-
-# ----------------------------------------------------------------------
-# The compiled executor twins
-# ----------------------------------------------------------------------
-
-
-class _CompiledExecutor(_ExecutorBase):
-    """Shared twin plumbing: compile when possible, else counted fallback."""
-
-    #: Schedule-builder key (see :data:`_OPS_BUILDERS`).
-    technique = "?"
-    #: Registry key of the generator twin (fallback target).
-    generator_name = "?"
-
-    def _run(self, tasks, engine, group_size):
-        if not tasks.inputs:
-            return []  # every generator scheduler returns [] event-free
-        reason = self._fallback_reason(tasks, engine)
-        if reason is not None:
-            _count_fallback(self.name, reason)
-            return get_executor(self.generator_name)._run(tasks, engine, group_size)
-        table = tasks.target
-        depth = search_depth(table.size)
-        _validate_staging(self.technique, group_size, engine.arch)
-        costs = tasks.costs.for_table(table)
-        rows, totals = _schedule_rows(
-            self.technique,
-            len(tasks.inputs),
-            depth,
-            group_size,
-            (costs.iter_cycles, costs.iter_instructions),
-            engine.cost,
-        )
-        started = perf_counter()
-        addresses, results = _probe_addresses(table, tasks.inputs, depth)
-        out = _replay(engine, rows, totals, addresses, table.element_size, results)
-        _STATS["replay_s"] += perf_counter() - started
-        _STATS["replays"] += 1
-        return out
-
-    def _fallback_reason(self, tasks, engine) -> str | None:
-        if tasks.kind != SORTED_ARRAY:
-            return "workload_kind"
-        if engine.tracer.enabled:
-            return "tracer"
-        if type(engine) is not ExecutionEngine:
-            return "engine_subclass"
-        if search_depth(tasks.target.size) < 1:
-            return "shallow_table"
-        return None
-
-
-@register_executor
-class CompiledBaselineExecutor(_CompiledExecutor):
-    """``Baseline`` replayed through the staged-schedule engine path."""
-
-    name = "Baseline-compiled"
-    technique = "baseline"
-    generator_name = "Baseline"
-    workload_kinds = (SORTED_ARRAY,)
-
-
-@register_executor
-class CompiledGpExecutor(_CompiledExecutor):
-    """``GP`` replayed through the staged-schedule engine path."""
-
-    name = "GP-compiled"
-    technique = "gp"
-    generator_name = "GP"
-    workload_kinds = (SORTED_ARRAY,)
-    default_group_size = 10
-    switch_kind = "gp"
-
-
-@register_executor
-class CompiledAmacExecutor(_CompiledExecutor):
-    """``AMAC`` replayed through the staged-schedule engine path."""
-
-    name = "AMAC-compiled"
-    technique = "amac"
-    generator_name = "AMAC"
-    workload_kinds = (SORTED_ARRAY, CSB_TREE, HASH_PROBE)
-    default_group_size = 6
-    switch_kind = "amac"
-
-
-@register_executor(aliases=("interleaved-compiled",))
-class CompiledCoroExecutor(_CompiledExecutor):
-    """``CORO`` replayed through the staged-schedule engine path."""
-
-    name = "CORO-compiled"
-    technique = "coro"
-    generator_name = "CORO"
-    workload_kinds = WORKLOAD_KINDS
-    default_group_size = 6
-    switch_kind = "coro"
-
-
-@register_executor
-class CompiledSequentialExecutor(_CompiledExecutor):
-    """``sequential`` replayed through the staged-schedule engine path."""
-
-    name = "sequential-compiled"
-    technique = "sequential"
-    generator_name = "sequential"
-    workload_kinds = WORKLOAD_KINDS

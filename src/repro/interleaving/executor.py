@@ -33,6 +33,12 @@ points charge — the golden-number regression test pins cycles/search
 for all five paper techniques across this refactor — and when a span
 recorder is attached, each run is wrapped in an ``executor`` span whose
 attributes carry the executor name and workload kind.
+
+``Baseline``, ``GP``, ``AMAC``, ``CORO`` and ``sequential`` also carry a
+``schedule`` key: jobs that compile replay the technique's staged
+interleave schedule (:mod:`repro.interleaving.compiled`) with the same
+cycles, and every other job runs the generators, counted as a fallback.
+``std`` and ``SPP`` always run their generators.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from repro.indexes.binary_search import (
     binary_search_coro,
     binary_search_std,
 )
+from repro.interleaving import compiled
 from repro.interleaving.amac import (
     BinarySearchMachine,
     CsbLookupMachine,
@@ -305,6 +312,10 @@ class _ExecutorBase:
     default_group_size = 1
     #: Key into the architecture cost model for this technique's switch.
     switch_kind: str | None = None
+    #: Staged-schedule builder (:mod:`repro.interleaving.compiled`) that
+    #: replays this technique's compilable jobs; ``None`` always runs
+    #: the generators.
+    schedule: str | None = None
 
     def supports(self, workload_kind: str) -> bool:
         return workload_kind in self.workload_kinds
@@ -329,9 +340,9 @@ class _ExecutorBase:
         group_size = group_size or self.default_group_size
         tracer = engine.tracer
         if not tracer.enabled:
-            return self._run(tasks, engine, group_size)
+            return self._execute(tasks, engine, group_size)
         begin = engine.clock
-        results = self._run(tasks, engine, group_size)
+        results = self._execute(tasks, engine, group_size)
         tracer.span(
             "executor",
             begin,
@@ -346,9 +357,29 @@ class _ExecutorBase:
         )
         return results
 
+    def _execute(
+        self, tasks: BulkLookup, engine: ExecutionEngine, group_size: int
+    ) -> list:
+        if self.schedule is None:
+            return self._run(tasks, engine, group_size)
+        return compiled.run_staged(self, tasks, engine, group_size)
+
+    def _fallback_reason(self, tasks: BulkLookup, engine: ExecutionEngine) -> str | None:
+        """Why ``tasks`` can not replay the staged schedule (``None``: it can)."""
+        if tasks.kind != SORTED_ARRAY:
+            return "workload_kind"
+        if engine.tracer.enabled:
+            return "tracer"  # span recorders need the live event stream
+        if type(engine) is not ExecutionEngine:
+            return "engine_subclass"
+        if compiled.search_depth(tasks.target.size) < 1:
+            return "shallow_table"
+        return None
+
     def _run(
         self, tasks: BulkLookup, engine: ExecutionEngine, group_size: int
     ) -> list:
+        """The technique's generators: the reference every replay matches."""
         raise NotImplementedError  # pragma: no cover
 
 
@@ -400,6 +431,7 @@ class BaselineExecutor(_ExecutorBase):
     name = "Baseline"
     workload_kinds = (SORTED_ARRAY,)
     paper_technique = True
+    schedule = "baseline"
 
     def _run(self, tasks, engine, group_size):
         table, costs = tasks.target, tasks.costs
@@ -419,6 +451,7 @@ class GpExecutor(_ExecutorBase):
     paper_technique = True
     default_group_size = 10  # Inequality-1 estimate, LFB-capped (12 -> 10)
     switch_kind = "gp"
+    schedule = "gp"
 
     def _run(self, tasks, engine, group_size):
         return gp_binary_search_bulk(
@@ -435,6 +468,7 @@ class AmacExecutor(_ExecutorBase):
     paper_technique = True
     default_group_size = 6
     switch_kind = "amac"
+    schedule = "amac"
 
     def _machine_factory(self, tasks: BulkLookup) -> Callable[[], object]:
         if tasks.kind == SORTED_ARRAY:
@@ -455,7 +489,9 @@ class CoroExecutor(_ExecutorBase):
 
     Instantiate directly (off-registry) to run the paper's ablations:
     ``CoroExecutor(recycle_frames=False)`` disables frame recycling,
-    ``switch_kind`` overrides the charged switch cost.
+    ``switch_kind`` overrides the charged switch cost. Only the default
+    configuration replays the staged schedule; ablation instances run
+    their generators.
     """
 
     name = "CORO"
@@ -463,6 +499,7 @@ class CoroExecutor(_ExecutorBase):
     paper_technique = True
     default_group_size = 6
     switch_kind = "coro"
+    schedule = "coro"
 
     def __init__(
         self,
@@ -485,6 +522,16 @@ class CoroExecutor(_ExecutorBase):
             recycle_frames=self._recycle_frames,
             frame_pool=self._frame_pool,
         )
+
+    def _fallback_reason(self, tasks, engine):
+        reason = super()._fallback_reason(tasks, engine)
+        if reason is None and (
+            not self._recycle_frames
+            or self.switch_kind != "coro"
+            or self._frame_pool is not None
+        ):
+            return "executor_options"
+        return reason
 
 
 @register_executor
@@ -515,6 +562,7 @@ class SequentialExecutor(_ExecutorBase):
 
     name = "sequential"
     workload_kinds = WORKLOAD_KINDS
+    schedule = "sequential"
 
     def _run(self, tasks, engine, group_size):
         return run_sequential(engine, _stream_factory(tasks), tasks.inputs)

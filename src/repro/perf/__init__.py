@@ -85,11 +85,15 @@ def default_runner() -> SweepRunner:
 
 @contextmanager
 def overrides(*, jobs: int | None = None, cache: ResultCache | None = None):
-    """Temporarily replace the process-wide defaults (facade/test helper)."""
+    """Temporarily replace the process-wide defaults that are passed.
+
+    An argument left at ``None`` keeps its current value (facade helper).
+    """
     previous = (_config.jobs, _config.cache)
-    _config.jobs = jobs
-    _config.cache = cache
+    if jobs is not None:
+        _config.jobs = jobs
     if cache is not None:
+        _config.cache = cache
         cache.register_metrics(metrics)
     try:
         yield

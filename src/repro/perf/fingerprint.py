@@ -34,15 +34,23 @@ FINGERPRINT_PATHS = (
     "query",
     "service",
     "faults",
+    # measure_cluster_point drives the cluster server, the adaptive
+    # controller and scenario specs.
+    "cluster",
+    "control",
+    "scenario",
     "analysis/calibration.py",
     "analysis/experiments.py",
-    # The obs modules below shape measure_service_point's cached outcome
-    # (exemplar histograms, burn analysis, span trees), so edits to them
-    # must invalidate service sweep entries. obs/export.py et al. stay
-    # out: offline tracing never enters the cache.
+    "analysis/tracing.py",
+    # The obs modules below shape cached outcomes (exemplar histograms,
+    # burn analysis, span trees, metrics snapshots), so edits to them
+    # must invalidate sweep entries. obs/export.py stays out: offline
+    # trace export never enters the cache.
     "obs/hist.py",
     "obs/slo.py",
     "obs/rtrace.py",
+    "obs/metrics.py",
+    "obs/spans.py",
 )
 
 

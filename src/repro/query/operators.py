@@ -38,7 +38,6 @@ import numpy as np
 from repro.errors import QueryError
 from repro.indexes.base import INVALID_CODE
 from repro.indexes.binary_search import DEFAULT_COSTS, SearchCosts
-from repro.interleaving.compiled import resolve_executor
 from repro.interleaving.executor import (
     BulkLookup,
     canonical_group_size,
@@ -582,14 +581,7 @@ class IndexJoin(Operator):
         indexed = inner.job(keys, executor.name)
         if indexed is not None and executor.supports(indexed[0].kind):
             job, post = indexed
-            # Dispatch resolves through the engine knob at the run point
-            # (after the generator name picked the index rewrite): under
-            # ``use_engine("compiled")`` sorted-array probes replay the
-            # staged schedule; stream jobs take the twin's counted
-            # generator fallback.
-            path, run_executor, run_group = (
-                "index", resolve_executor(executor.name), group_size
-            )
+            path, run_executor, run_group = "index", executor, group_size
         else:
             job, post = inner.fallback_job(keys)
             fallback = get_executor("sequential")

@@ -53,7 +53,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.faults.events import FAULT_KINDS
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
-from repro.interleaving.compiled import resolve_executor
 from repro.interleaving.executor import BulkLookup, get_executor
 from repro.interleaving.policies import degraded_group_size
 from repro.obs.hist import ExemplarHistogram, nearest_rank
@@ -396,16 +395,11 @@ class ServiceServer:
         self.arch = arch
         self.seed = seed
         self.tracer = tracer
-        # Dispatch resolves through the engine knob: under a
-        # ``use_engine("compiled")`` scope a compilable technique serves
-        # through its trace-compiled twin (non-compilable shapes take
-        # the counted generator fallback inside the twin).
-        self.executor = resolve_executor(config.technique)
+        self.executor = get_executor(config.technique)
         self.group_size = config.group_size or self.executor.default_group_size
         #: Report label: the *configured* technique, captured before any
-        #: online switching moves ``self.executor`` — and independent of
-        #: the engine mode, so documents keep their technique names.
-        self._technique_name = get_executor(config.technique).name
+        #: online switching moves ``self.executor``.
+        self._technique_name = self.executor.name
         self.metrics = MetricsRegistry()
         rate = config.rate_limit_per_kcycle
         self.admission = AdmissionController(

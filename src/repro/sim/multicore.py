@@ -160,10 +160,9 @@ class MultiCoreSystem:
         # load, so the reverse edge must stay lazy.
         from dataclasses import replace as _replace
 
-        from repro.interleaving.compiled import resolve_executor
-        from repro.interleaving.executor import BulkPipeline
+        from repro.interleaving.executor import BulkPipeline, get_executor
 
-        pipeline = BulkPipeline(resolve_executor(executor_name), batch_size)
+        pipeline = BulkPipeline(get_executor(executor_name), batch_size)
         engines = self.engines(seed)
         cores = []
         for index, engine in enumerate(engines):

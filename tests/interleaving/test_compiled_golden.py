@@ -1,12 +1,13 @@
-"""Golden equivalence for the trace-compiled executor twins.
+"""Golden equivalence for staged-schedule replay on the default path.
 
-The compiled engine path (:mod:`repro.interleaving.compiled`) replays a
-staged schedule instead of driving Python generators, and its whole
-correctness contract is *bit identity*: at the pinned 16 MB golden
-points every compiled twin must reproduce its generator twin's cycle
-count, search results, and metrics tree exactly — same numbers as
-``tests/analysis/test_golden_numbers.py``, reached without a single
-generator resume. If a change legitimately alters the cost model,
+``Baseline``, ``GP``, ``AMAC``, ``CORO`` and ``sequential`` replay a
+staged schedule (:mod:`repro.interleaving.compiled`) whenever a job
+compiles, instead of driving Python generators, and the whole
+correctness contract of that replay is *bit identity*: at the pinned
+16 MB golden points every technique reproduces the cycle count of
+``tests/analysis/test_golden_numbers.py`` through replay, and on any
+compilable job results, clock, and metrics tree equal the generator
+reference exactly. If a change legitimately alters the cost model,
 recapture the golden numbers in the same commit and say why.
 
 The second half pins the *fallback* contract: workload shapes the
@@ -24,29 +25,30 @@ from repro.indexes.csb_tree import CSBTree
 from repro.indexes.skip_list import SkipList, skip_lookup_stream
 from repro.indexes.sorted_array import int_array_of_bytes
 from repro.interleaving import (
-    COMPILED_TWINS,
     BulkLookup,
     compiled_metrics_source,
     compiled_stats,
     get_executor,
     register_compiled_metrics,
     reset_compiled_stats,
-    resolve_executor,
-    use_engine,
 )
+from repro.interleaving.compiled import _generators_only
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NullRecorder, SpanRecorder
 from repro.sim import ExecutionEngine
 from repro.sim.allocator import AddressSpaceAllocator
 
 #: The pinned golden numbers (identical to test_golden_numbers.py) for
-#: every technique that has a compiled twin. ``std`` stays generator-only.
+#: every paper technique that replays. ``std`` stays generator-only.
 GOLDEN_CYCLES_PER_SEARCH = {
     "Baseline": 978.515625,
     "GP": 767.609375,
     "AMAC": 1236.5625,
     "CORO": 1214.71875,
 }
+
+#: Every executor that carries a staged schedule.
+REPLAYING = ("AMAC", "Baseline", "CORO", "GP", "sequential")
 
 SIZE_BYTES = 16 << 20
 N_LOOKUPS = 64
@@ -57,51 +59,64 @@ def small_array(nbytes=1 << 20):
 
 
 class TestCompiledGoldenNumbers:
-    """Compiled replay reproduces the pinned harness numbers exactly."""
+    """The default path reproduces the pinned harness numbers by replay."""
 
     @pytest.mark.parametrize("technique", sorted(GOLDEN_CYCLES_PER_SEARCH))
     def test_compiled_cycles_per_search_bit_identical(self, technique):
         reset_compiled_stats()
-        point = measure_binary_search(
-            SIZE_BYTES, technique, n_lookups=N_LOOKUPS, engine="compiled"
-        )
+        point = measure_binary_search(SIZE_BYTES, technique, n_lookups=N_LOOKUPS)
         assert point.cycles_per_search == GOLDEN_CYCLES_PER_SEARCH[technique]
         stats = compiled_stats()
         assert stats["fallbacks"] == 0, stats["fallbacks_by_reason"]
         assert stats["replays"] >= 1  # the number came from staged replay
 
+    @pytest.mark.parametrize("technique", sorted(GOLDEN_CYCLES_PER_SEARCH))
+    def test_generator_reference_matches_golden(self, technique):
+        reset_compiled_stats()
+        with _generators_only():
+            point = measure_binary_search(
+                SIZE_BYTES, technique, n_lookups=N_LOOKUPS
+            )
+        assert point.cycles_per_search == GOLDEN_CYCLES_PER_SEARCH[technique]
+        stats = compiled_stats()
+        assert stats["replays"] == 0 and stats["fallbacks"] == 0
 
-class TestCompiledTwinEquivalence:
-    """Twin-vs-generator runs agree on results, clock, and metrics."""
 
-    @pytest.mark.parametrize(
-        "generator_name", sorted(set(COMPILED_TWINS) - {"interleaved"})
-    )
-    def test_results_clock_and_metrics_identical(self, generator_name):
+class TestReplayEquivalence:
+    """Replay and the generator reference agree on results, clock, metrics."""
+
+    @pytest.mark.parametrize("name", REPLAYING)
+    def test_results_clock_and_metrics_identical(self, name):
         array = small_array()
         probes = [int(array.size * i // 37) * 7 + 3 for i in range(40)]
         tasks = BulkLookup.sorted_array(array, probes)
-        generator = get_executor(generator_name)
-        with use_engine("compiled"):
-            compiled = resolve_executor(generator_name)
-        assert compiled.name != generator.name
+        executor = get_executor(name)
 
         gen_engine = ExecutionEngine(HASWELL)
-        expected = generator.run(tasks, gen_engine, group_size=4)
+        with _generators_only():
+            expected = executor.run(tasks, gen_engine, group_size=4)
         reset_compiled_stats()
-        compiled_engine = ExecutionEngine(HASWELL)
+        replay_engine = ExecutionEngine(HASWELL)
         # A (disabled) null recorder must not trip the tracer fallback.
-        got = compiled.run(
-            tasks, compiled_engine, group_size=4, recorder=NullRecorder()
+        got = executor.run(
+            tasks, replay_engine, group_size=4, recorder=NullRecorder()
         )
-        assert compiled_stats()["fallbacks"] == 0
+        stats = compiled_stats()
+        assert stats["fallbacks"] == 0
+        assert stats["replays"] == 1
         assert got == expected
-        assert compiled_engine.clock == gen_engine.clock
-        assert compiled_engine.metrics.snapshot() == gen_engine.metrics.snapshot()
+        assert replay_engine.clock == gen_engine.clock
+        assert replay_engine.metrics.snapshot() == gen_engine.metrics.snapshot()
 
-    def test_alias_resolves_to_same_twin(self):
-        with use_engine("compiled"):
-            assert resolve_executor("interleaved") is resolve_executor("CORO")
+    def test_interleaved_alias_replays(self):
+        assert get_executor("interleaved") is get_executor("CORO")
+        reset_compiled_stats()
+        get_executor("interleaved").run(
+            BulkLookup.sorted_array(small_array(), [3, 99, 4_000]),
+            ExecutionEngine(HASWELL),
+            group_size=3,
+        )
+        assert compiled_stats()["replays"] == 1
 
 
 class TestCompiledFallbacks:
@@ -114,33 +129,29 @@ class TestCompiledFallbacks:
 
     def test_csb_tree_falls_back_to_generator_path(self):
         tasks = self._csb_tasks()
-        expected = get_executor("CORO").run(
-            tasks, ExecutionEngine(HASWELL), group_size=4
-        )
-        reset_compiled_stats()
-        with use_engine("compiled"):
-            got = resolve_executor("CORO").run(
+        with _generators_only():
+            expected = get_executor("CORO").run(
                 tasks, ExecutionEngine(HASWELL), group_size=4
             )
+        reset_compiled_stats()
+        got = get_executor("CORO").run(tasks, ExecutionEngine(HASWELL), group_size=4)
         assert got == expected
         stats = compiled_stats()
         assert stats["replays"] == 0
         assert stats["fallbacks_by_reason"] == {"workload_kind": 1}
-        assert stats["fallbacks_by_executor"] == {"CORO-compiled": 1}
+        assert stats["fallbacks_by_executor"] == {"CORO": 1}
 
     def test_skip_list_stream_falls_back_to_generator_path(self):
         skiplist = SkipList(AddressSpaceAllocator(), "s")
         skiplist.build(range(0, 500, 5), range(0, 1_000, 10))
         factory = lambda key, il: skip_lookup_stream(skiplist, key, il)
         tasks = BulkLookup.stream(factory, [0, 35, 120, 495, 7])
-        expected = get_executor("CORO").run(
-            tasks, ExecutionEngine(HASWELL), group_size=3
-        )
-        reset_compiled_stats()
-        with use_engine("compiled"):
-            got = resolve_executor("CORO").run(
+        with _generators_only():
+            expected = get_executor("CORO").run(
                 tasks, ExecutionEngine(HASWELL), group_size=3
             )
+        reset_compiled_stats()
+        got = get_executor("CORO").run(tasks, ExecutionEngine(HASWELL), group_size=3)
         assert got == expected
         assert compiled_stats()["fallbacks_by_reason"] == {"workload_kind": 1}
 
@@ -149,18 +160,22 @@ class TestCompiledFallbacks:
         tasks = BulkLookup.sorted_array(array, [3, 99, 4_000])
         reset_compiled_stats()
         engine = ExecutionEngine(HASWELL)
-        with use_engine("compiled"):
-            resolve_executor("CORO").run(
-                tasks, engine, group_size=3, recorder=SpanRecorder()
-            )
+        get_executor("CORO").run(tasks, engine, group_size=3, recorder=SpanRecorder())
         assert compiled_stats()["fallbacks_by_reason"] == {"tracer": 1}
+
+    def test_generator_only_executors_count_nothing(self):
+        tasks = BulkLookup.sorted_array(small_array(), [3, 99, 4_000])
+        reset_compiled_stats()
+        for name in ("std", "SPP"):
+            get_executor(name).run(tasks, ExecutionEngine(HASWELL))
+        stats = compiled_stats()
+        assert stats["replays"] == 0 and stats["fallbacks"] == 0
 
     def test_fallback_counter_exported_through_metrics_registry(self):
         reset_compiled_stats()
-        with use_engine("compiled"):
-            resolve_executor("CORO").run(
-                self._csb_tasks(), ExecutionEngine(HASWELL), group_size=4
-            )
+        get_executor("CORO").run(
+            self._csb_tasks(), ExecutionEngine(HASWELL), group_size=4
+        )
         source = compiled_metrics_source()
         assert source["compiled_fallbacks"] == 1
         assert "fallbacks" not in source  # renamed for the metrics tree

@@ -1,0 +1,224 @@
+"""Differential property test: staged-schedule replay vs generators.
+
+Every registry executor that carries a staged schedule (``Baseline``,
+``GP``, ``AMAC``, ``CORO``, ``sequential``) replays it whenever a job
+compiles. Hypothesis draws the job and the machine — architecture
+(Haswell or a ``scaled(k)`` hierarchy), line-fill-buffer count, table
+size (1–3 elements and odd sizes included), int or string tables,
+element sizes that straddle cache lines, group size, and 0–64 inputs —
+and the default path must equal the generator reference on a fresh
+engine: results, ``engine.clock`` and the whole
+``engine.metrics.snapshot()`` tree.
+
+Jobs that can not compile (depth-0 tables, tracer-on engines, engine
+subclasses, ablation ``CoroExecutor`` instances, non-array workloads)
+must run the generators and report their fallback reason.
+"""
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.config import HASWELL, scaled
+from repro.indexes.sorted_array import (
+    SortedIntArray,
+    int_array_of_bytes,
+    string_array_of_bytes,
+)
+from repro.interleaving import (
+    BulkLookup,
+    CoroExecutor,
+    FramePool,
+    compiled_stats,
+    get_executor,
+    reset_compiled_stats,
+)
+from repro.interleaving.compiled import _generators_only
+from repro.obs.spans import SpanRecorder
+from repro.sim import ExecutionEngine
+from repro.sim.allocator import AddressSpaceAllocator
+from repro.workloads.strings import index_to_key
+
+REPLAYING = ("Baseline", "GP", "AMAC", "CORO", "sequential")
+
+#: Haswell plus hierarchies shrunk so small tables miss every level.
+ARCHES = (HASWELL, scaled(2), scaled(8), scaled(64))
+
+
+def _table(kind: str, size: int, element_size: int, seed: int):
+    allocator = AddressSpaceAllocator()
+    if kind == "string":
+        return string_array_of_bytes(allocator, "t", size * 16)
+    if kind == "values":
+        # Materialized, with duplicates: the non-identity probe path.
+        values = sorted((seed * 7 + i * 13) % (2 * size + 1) for i in range(size))
+        return SortedIntArray.from_values(allocator, "t", values, element_size)
+    return int_array_of_bytes(allocator, "t", size * element_size, element_size)
+
+
+def _keys(kind: str, size: int, raw: list[int]) -> list:
+    if kind == "string":
+        return [index_to_key(value % size) for value in raw]
+    return [value % (2 * size + 3) - 1 for value in raw]
+
+
+def _run(executor, tasks, arch, group_size, *, engine_cls=ExecutionEngine, recorder=None):
+    engine = engine_cls(arch)
+    results = executor.run(tasks, engine, group_size=group_size, recorder=recorder)
+    return results, engine.clock, engine.metrics.snapshot()
+
+
+def _reference(executor, tasks, arch, group_size, **kwargs):
+    with _generators_only():
+        return _run(executor, tasks, arch, group_size, **kwargs)
+
+
+jobs = st.fixed_dictionaries(
+    {
+        "technique": st.sampled_from(REPLAYING),
+        "arch": st.sampled_from(ARCHES),
+        "lfbs": st.integers(1, 12),
+        "kind": st.sampled_from(("int", "string", "values")),
+        "size": st.one_of(st.integers(1, 3), st.integers(1, 4_097)),
+        "element_size": st.sampled_from((4, 8, 12, 24)),
+        "group_size": st.integers(1, 16),
+        "raw": st.lists(st.integers(0, 1 << 30), max_size=64),
+    }
+)
+
+
+class TestReplayMatchesGenerators:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(job=jobs)
+    @example(
+        job={
+            "technique": "CORO", "arch": HASWELL, "lfbs": 10, "kind": "int",
+            "size": 3, "element_size": 4, "group_size": 16, "raw": [0, 1, 2, 3],
+        }
+    )
+    @example(
+        job={
+            "technique": "GP", "arch": scaled(64), "lfbs": 1, "kind": "string",
+            "size": 2_049, "element_size": 4, "group_size": 7,
+            "raw": list(range(0, 64 * 997, 997)),
+        }
+    )
+    def test_default_path_equals_generator_reference(self, job):
+        arch = job["arch"].replace(n_line_fill_buffers=job["lfbs"])
+        table = _table(job["kind"], job["size"], job["element_size"], len(job["raw"]))
+        tasks = BulkLookup.sorted_array(
+            table, _keys(job["kind"], job["size"], job["raw"])
+        )
+        executor = get_executor(job["technique"])
+        group_size = job["group_size"]
+
+        expected = _reference(executor, tasks, arch, group_size)
+        reset_compiled_stats()
+        got = _run(executor, tasks, arch, group_size)
+        stats = compiled_stats()
+
+        assert got[0] == expected[0]
+        assert got[1] == expected[1]
+        assert got[2] == expected[2]
+        compiles = bool(tasks.inputs) and job["size"] > 1
+        assert stats["replays"] == int(compiles)
+        if compiles or not tasks.inputs:
+            assert stats["fallbacks"] == 0, stats["fallbacks_by_reason"]
+        else:  # a one-element table has search depth 0
+            assert stats["fallbacks_by_reason"] == {"shallow_table": 1}
+
+
+def _small_tasks(size: int = 1_000) -> BulkLookup:
+    table = int_array_of_bytes(AddressSpaceAllocator(), "t", size * 4)
+    return BulkLookup.sorted_array(table, [0, 7, size // 2, size - 1, size + 5])
+
+
+class _CountingEngine(ExecutionEngine):
+    """A subclass: replay would bypass its overrides."""
+
+
+class TestFallbackReasons:
+    def _assert_fallback(self, make_executor, tasks, reason, **kwargs):
+        """``make_executor()`` builds the executor afresh for each run."""
+        expected = _reference(make_executor(), tasks, HASWELL, 3, **kwargs)
+        reset_compiled_stats()
+        executor = make_executor()
+        got = _run(executor, tasks, HASWELL, 3, **kwargs)
+        stats = compiled_stats()
+        assert got == expected
+        assert stats["replays"] == 0
+        assert stats["fallbacks_by_reason"] == {reason: 1}
+        assert stats["fallbacks_by_executor"] == {executor.name: 1}
+
+    @pytest.mark.parametrize("name", REPLAYING)
+    def test_depth_zero_table(self, name):
+        tasks = _small_tasks(size=1)
+        self._assert_fallback(lambda: get_executor(name), tasks, "shallow_table")
+
+    @pytest.mark.parametrize("name", REPLAYING)
+    def test_tracer_on_engine(self, name):
+        self._assert_fallback(
+            lambda: get_executor(name), _small_tasks(), "tracer",
+            recorder=SpanRecorder(),
+        )
+
+    @pytest.mark.parametrize("name", REPLAYING)
+    def test_engine_subclass(self, name):
+        self._assert_fallback(
+            lambda: get_executor(name), _small_tasks(), "engine_subclass",
+            engine_cls=_CountingEngine,
+        )
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            lambda: {"recycle_frames": False},
+            lambda: {"switch_kind": "amac"},
+            lambda: {"frame_pool": FramePool()},
+        ],
+        ids=["no-recycling", "switch-kind", "frame-pool"],
+    )
+    def test_non_default_coro_instance(self, options):
+        self._assert_fallback(
+            lambda: CoroExecutor(**options()), _small_tasks(), "executor_options"
+        )
+
+    def test_default_coro_instance_replays(self):
+        reset_compiled_stats()
+        _run(CoroExecutor(), _small_tasks(), HASWELL, 3)
+        assert compiled_stats()["replays"] == 1
+
+    @pytest.mark.parametrize("name", ("CORO", "sequential"))
+    def test_stream_workload(self, name):
+        table = int_array_of_bytes(AddressSpaceAllocator(), "t", 4_000)
+        from repro.indexes.binary_search import binary_search_coro
+
+        tasks = BulkLookup.stream(
+            lambda value, il: binary_search_coro(table, value, il), [1, 50, 999]
+        )
+        self._assert_fallback(lambda: get_executor(name), tasks, "workload_kind")
+
+
+class TestScheduleMemo:
+    def test_memo_evicts_least_recently_used_beyond_its_row_budget(self, monkeypatch):
+        from repro.interleaving import compiled
+
+        monkeypatch.setattr(compiled, "_SCHEDULE_MEMO", type(compiled._SCHEDULE_MEMO)())
+        tasks = _small_tasks()
+        coro = get_executor("CORO")
+        reset_compiled_stats()
+        _run(coro, tasks, HASWELL, 2)
+        # CORO's row count depends on inputs and depth, not group size.
+        rows = next(iter(compiled._SCHEDULE_MEMO.values()))[0].shape[1]
+        monkeypatch.setattr(compiled, "_MEMO_ROW_BUDGET", 2 * rows)
+        for group_size in (3, 2, 4):  # 2 again: now the most recently used
+            _run(coro, tasks, HASWELL, group_size)
+        assert [key[3] for key in compiled._SCHEDULE_MEMO] == [2, 4]
+        stats = compiled_stats()
+        assert stats["compiled_schedules"] == 3 and stats["schedule_cache_hits"] == 1
+        # An evicted schedule restages and still replays bit-identically.
+        assert _run(coro, tasks, HASWELL, 3) == _reference(coro, tasks, HASWELL, 3)

@@ -114,3 +114,24 @@ class TestRunSummaryAndArtifacts:
         assert json.loads(paths["summary"].read_text()) == summary
         lines = paths["events"].read_text().splitlines()
         assert len(lines) == 6 and all(json.loads(line) for line in lines)
+
+    def test_traced_summary_same_at_any_job_count(self, tmp_path):
+        from repro import perf
+        from repro.analysis.tracing import trace_experiment
+
+        summaries = []
+        for jobs in (1, 2):
+            with perf.overrides(jobs=jobs):
+                paths = trace_experiment(
+                    "fig7", tmp_path / str(jobs), n_lookups=8, size_bytes=1 << 20
+                )
+            summaries.append(json.loads(paths["summary"].read_text()))
+        assert summaries[0] == summaries[1]
+        # The untraced warm-up replays; the traced pass falls back.
+        coro = summaries[0]["executors"]["CORO"]["metrics"]["interleaving"]["compiled"]
+        assert coro == {
+            "replays": 1,
+            "compiled_fallbacks": 1,
+            "fallbacks_by_reason": {"tracer": 1},
+            "fallbacks_by_executor": {"CORO": 1},
+        }

@@ -1,6 +1,8 @@
 """The sweep runner: merge order, parallel bit-identity, failure modes."""
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -24,6 +26,24 @@ def boom(x):
 
 def die(x):
     os._exit(13)
+
+
+class _Cycle:
+    """Garbage only the cycle collector frees, like an engine and its memory."""
+
+    def __init__(self) -> None:
+        self.me = self
+
+
+#: Weak references to each point's cyclic garbage, in point order.
+_POINT_GARBAGE: list = []
+
+
+def leave_cycle(x):
+    """Count earlier points' garbage still alive, then leave some behind."""
+    alive = sum(ref() is not None for ref in _POINT_GARBAGE)
+    _POINT_GARBAGE.append(weakref.ref(_Cycle()))
+    return alive
 
 
 class TestMergeOrder:
@@ -50,6 +70,29 @@ class TestMergeOrder:
         runner = SweepRunner(jobs=4)
         assert runner.run([Task(double, (21,))]) == [42]
         assert runner.chunks_submitted == 0
+
+
+class TestPointGarbage:
+    def test_each_point_collected_before_the_next(self):
+        _POINT_GARBAGE.clear()
+        enabled = gc.isenabled()
+        gc.disable()  # only the runner's own collections may free the cycles
+        try:
+            alive = SweepRunner(jobs=1).run([Task(leave_cycle, (i,)) for i in range(4)])
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == [0, 0, 0, 0]
+        assert gc.get_freeze_count() == 0  # the sweep's freeze is undone
+
+    def test_application_freeze_left_alone(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            SweepRunner(jobs=1).run([Task(double, (i,)) for i in range(3)])
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
 
 class TestSimulatorBitIdentity:

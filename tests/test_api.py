@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro import api, scaled
 from repro.__main__ import main
-from repro.errors import ConfigurationError, SchedulerError, WorkloadError
+from repro.errors import ConfigurationError, PerfError, SchedulerError, WorkloadError
 from repro.interleaving.executor import BulkLookup, get_executor
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.sim.engine import ExecutionEngine
@@ -136,6 +136,42 @@ class TestRunExperiment:
         assert result.doc["experiment"] == "table5"
         assert result.doc["rows"]
         assert result.render().strip()
+
+
+class TestFacadePerfBoundary:
+    """``jobs``/``cache`` fail at the facade and override only when passed."""
+
+    @pytest.mark.parametrize("cache", [False, True, "dir", 0])
+    def test_cache_that_is_not_a_result_cache_is_rejected(self, cache):
+        with pytest.raises(PerfError, match="ResultCache"):
+            api.run_experiment("table5", cache=cache)
+
+    @pytest.mark.parametrize("jobs", [-3, 0, True, 2.0, "2"])
+    def test_bad_jobs_rejected_before_any_work(self, jobs):
+        with pytest.raises(PerfError, match="jobs"):
+            api.run_experiment("table5", jobs=jobs)
+        with pytest.raises(PerfError, match="jobs"):
+            api.serve("quick", jobs=jobs)
+
+    def test_jobs_alone_keeps_the_ambient_cache(self, tmp_path, monkeypatch):
+        from repro import perf
+        from repro.analysis import figures
+
+        seen = {}
+
+        def fake_run_experiment_data(name):
+            runner = perf.default_runner()
+            seen.update(jobs=runner.jobs, cache=runner.cache)
+            return {"kind": "table", "title": "", "headers": [], "rows": []}
+
+        monkeypatch.setattr(figures, "run_experiment_data", fake_run_experiment_data)
+        ambient = perf.ResultCache(tmp_path)
+        perf.configure(cache=ambient)
+        try:
+            api.run_experiment("table5", jobs=2)
+        finally:
+            perf.configure()
+        assert seen == {"jobs": 2, "cache": ambient}
 
 
 class TestFacadeExports:

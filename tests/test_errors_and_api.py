@@ -41,6 +41,26 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_import_is_lazy(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(repro.__file__).resolve().parents[1]
+        probe = (
+            "import sys, repro; "
+            "print(' '.join(sorted(n for n in sys.modules if n.startswith('repro'))))"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            capture_output=True,
+            text=True,
+            cwd=src,
+        ).stdout.split()
+        heavy = {"service", "cluster", "control", "scenario", "query", "faults"}
+        assert not heavy & {name.split(".")[1] for name in loaded if "." in name}, loaded
+
     def test_version(self):
         major, minor, patch = repro.__version__.split(".")
         assert int(major) >= 1
