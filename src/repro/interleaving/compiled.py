@@ -24,25 +24,29 @@ module does the Python-simulator equivalent:
    the paper's identity arrays (a pure-Python pass covers arbitrary
    monotone ``value_fn`` tables), and schedule rows reference flat
    ``key * depth + iteration`` indexes into it.
-3. **Replay** — a table-driven loop executes the schedule directly
-   against the live memory system (same cache dicts, same TLB LRU
-   arrays, same line-fill buffers, same ``FillRequest`` objects) with
-   the engine's arithmetic inlined and all statistics accumulated in
-   local integers, written back once at the end. No generators, no event
-   objects, no dispatch — and **bit-identical** cycle counts, search
-   results, and counters, because every arithmetic step is the same
-   integer arithmetic :mod:`repro.sim.engine` performs.
+3. **Replay** — the staged rows, the probe addresses and the schedule's
+   static instruction/slot totals go to
+   :meth:`ExecutionEngine.execute_rows
+   <repro.sim.engine.ExecutionEngine.execute_rows>`, whose kernel in
+   :mod:`repro.sim.replay` runs them against the live memory system. No
+   generators, no event objects, no dispatch — and **bit-identical**
+   cycle counts, search results, and counters.
+
+This module owns only the interleaving side: which rows a technique
+issues, in which order. The machine model lives in :mod:`repro.sim`,
+and nothing here touches its private state.
 
 There is no separate compiled executor: ``Baseline``, ``GP``, ``AMAC``,
 ``CORO`` and ``sequential`` declare a schedule key and route every run
 through :func:`run_staged`, which replays when the job compiles — a
-sorted-array job with search depth >= 1 on a plain
-:class:`~repro.sim.engine.ExecutionEngine` whose tracer is off, run by
-a default executor instance — and otherwise runs the executor's
-generators and counts the fallback by executor and by reason
-(``workload_kind``, ``tracer``, ``engine_subclass``, ``shallow_table``,
-``executor_options``). The counters are exported through
-``repro.perf.metrics`` under ``interleaving.compiled``.
+sorted-array job with search depth >= 1 whose elements never straddle a
+cache line, on a plain :class:`~repro.sim.engine.ExecutionEngine` whose
+tracer is off, run by a default executor instance — and otherwise runs
+the executor's generators and counts the fallback by executor and by
+reason (``workload_kind``, ``tracer``, ``engine_subclass``,
+``shallow_table``, ``line_straddle``, ``executor_options``). The
+counters are exported through ``repro.perf.metrics`` under
+``interleaving.compiled``.
 
 Staged schedules are memoized in-process as compact integer arrays,
 least recently used first out once the memo holds more than
@@ -53,19 +57,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from heapq import heapify, heappop, heappush
-from operator import itemgetter
-from textwrap import indent as _indent_text
 from time import perf_counter
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.indexes.binary_search import DEFAULT_COSTS
-from repro.sim.allocator import PAGE_TABLE_BASE
 from repro.sim.engine import ExecutionEngine
-from repro.sim.lfb import FillRequest
-from repro.sim.tlb import PTE_SIZE
+from repro.sim.replay import OP_COMPUTE, OP_LOAD, OP_PREFETCH, _advance
 
 __all__ = [
     "compiled_stats",
@@ -203,10 +202,10 @@ def run_staged(executor, tasks, engine, group_size: int) -> list:
     )
     started = perf_counter()
     addresses, results = _probe_addresses(table, tasks.inputs, depth)
-    out = _replay(engine, rows, totals, addresses, table.element_size, results)
+    engine.execute_rows(rows, addresses, totals)
     _STATS["replay_s"] += perf_counter() - started
     _STATS["replays"] += 1
-    return out
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -347,26 +346,18 @@ _OPS_BUILDERS = {
 # Lowering: symbolic ops -> replay rows
 # ----------------------------------------------------------------------
 #
-# Replay rows are ``(opcode, flat_index, advance)`` triples:
-#   (1, flat_index, adv)   demand load of addresses[flat_index]
-#   (2, flat_index, adv)   software prefetch of addresses[flat_index]
-#   (0, 0, adv)            trailing pure compute (end of schedule)
-# where flat_index = key * depth + iteration, and adv is the
-# straight-line compute block *preceding* the memory operation —
-# switches, search iterations, and frame allocations merged into one
-# pre-normalized clock advance. Merging is exact because the engine
-# normalizes each compute's advance independently before the clock
-# moves (integer arithmetic, order-free sum). The prefetch
-# instruction's own issue compute is inlined in the replay handler (it
-# sits between the translation and the fill, so it can never merge
-# with neighbours). A staged schedule stores its rows column-wise in
-# one ``(3, n_rows)`` int64 array; a replay expands it to Python ints.
-
-
-def _advance(cycles: int, instructions: int, issue_width: int) -> int:
-    """Clock advance of one compute charge (TMAM capacity normalization)."""
-    floor = -(-instructions // issue_width)
-    return cycles if cycles >= floor else floor
+# Replay rows are the ``(opcode, address_index, advance)`` triples of
+# :mod:`repro.sim.replay`: one ``OP_LOAD`` or ``OP_PREFETCH`` row per
+# memory operation, with address_index = key * depth + iteration, and
+# one trailing ``OP_COMPUTE`` row for the compute after the last one.
+# ``advance`` is the straight-line compute block *preceding* the row's
+# memory operation — switches, search iterations, and frame
+# allocations merged into one pre-normalized clock advance. Merging is
+# exact because the engine normalizes each compute's advance
+# independently before the clock moves (integer arithmetic, order-free
+# sum). The prefetch instruction's own issue compute is charged by the
+# replay kernel itself, not folded into ``advance``. A staged schedule
+# stores its rows column-wise in one ``(3, n_rows)`` int64 array.
 
 
 def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
@@ -400,7 +391,7 @@ def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
     for op in ops:
         tag = op[0]
         if tag == "L" or tag == "P":
-            opcodes.append(1 if tag == "L" else 2)
+            opcodes.append(OP_LOAD if tag == "L" else OP_PREFETCH)
             indexes.append(op[1] * depth + op[2])
             advances.append(pending_advance)
             pending_advance = 0
@@ -420,7 +411,7 @@ def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
             instructions_total += instructions
             advance_total += step
     if pending_advance:
-        opcodes.append(0)
+        opcodes.append(OP_COMPUTE)
         indexes.append(0)
         advances.append(pending_advance)
     core_slots_total = issue_width * advance_total - instructions_total
@@ -644,859 +635,3 @@ def _validate_staging(executor, group_size: int, arch) -> None:
         )
     _VALIDATED.add(signature)
     _STATS["validations"] += 1
-
-
-# ----------------------------------------------------------------------
-# Replay: the table-driven engine path
-# ----------------------------------------------------------------------
-
-
-def _replay_generic(engine: ExecutionEngine, rows, totals: tuple,
-                    addresses: list, element_size: int, results: list) -> list:
-    """Execute a staged schedule against the live engine state (reference).
-
-    Performs exactly the integer arithmetic of
-    :class:`~repro.sim.engine.ExecutionEngine` /
-    :class:`~repro.sim.memory.MemorySystem` / :class:`~repro.sim.tlb.Tlb`
-    / :class:`~repro.sim.lfb.LineFillBuffers`, against the same live
-    dicts and ``FillRequest`` objects, with statistics accumulated in
-    locals and written back once. The hot paths — DTLB hit, L1 hit, LFB
-    hit — are inlined straight into the row loop; the cold paths (page
-    walks, fill starts, completions, straddling accesses) live in
-    closures. Any behavioural divergence from the simulator modules is a
-    bug; the golden equivalence tests pin bit-identity.
-    """
-    arch = engine.arch
-    cost = engine.cost
-    memory = engine.memory
-    issue_width = cost.issue_width
-    ooo_hide = cost.ooo_hide
-    walk_base = cost.page_walk_base_cycles
-    prefetch_advance = _advance(
-        cost.prefetch_issue_cycles, cost.prefetch_issue_instructions, issue_width
-    )
-    line_size = memory.line_size
-
-    tlb = memory.tlb
-    page_size = tlb._page_size
-    stlb_latency = tlb._stlb_latency
-    dtlb = tlb._dtlb
-    stlb = tlb._stlb
-    dtlb_sets, dtlb_n, dtlb_assoc = dtlb._sets, dtlb.n_sets, dtlb.associativity
-    stlb_sets, stlb_n, stlb_assoc = stlb._sets, stlb.n_sets, stlb.associativity
-    walks_by_level = tlb.stats.walks_by_level
-
-    l1, l2, l3 = memory.l1, memory.l2, memory.l3
-    l1_sets, l1_n, l1_assoc, l1_latency = l1._sets, l1.n_sets, l1.associativity, l1.latency
-    l2_sets, l2_n, l2_assoc, l2_latency = l2._sets, l2.n_sets, l2.associativity, l2.latency
-    l3_sets, l3_n, l3_assoc, l3_latency = l3._sets, l3.n_sets, l3.associativity, l3.latency
-    # An L1 hit's exposed latency is a constant (usually negative: the
-    # out-of-order window hides short latencies entirely).
-    l1_exposed = l1_latency - ooo_hide
-
-    lfbs = memory.lfbs
-    in_flight = lfbs._in_flight
-    in_flight_get = in_flight.get
-    lfb_capacity = lfbs.capacity
-    dram_latency = arch.dram_latency + memory.extra_dram_latency
-
-    infinity = float("inf")
-    next_completion = lfbs._next_completion
-    clock = engine.clock
-    entry_clock = clock
-
-    # One vectorized pass replaces the per-row address arithmetic:
-    # every row needs only its cache-line index (first/last) and its
-    # virtual page number. ``tolist`` yields Python ints, keeping the
-    # replay's arithmetic (and the engine clock) in exact int land.
-    addresses_np = np.asarray(addresses, dtype=np.int64)
-    lines_first = (addresses_np // line_size).tolist()
-    lines_last = ((addresses_np + (element_size - 1)) // line_size).tolist()
-    vpns = (addresses_np // page_size).tolist()
-
-    # Deferred statistic deltas (plain ints; written back once at the end).
-    memory_slots = 0
-    memory_stall = translation_stall = lfb_stall = 0
-    dtlb_hits = stlb_hits = walk_cycles_delta = 0
-    l1_hits = l1_misses = l1_installs = l1_evictions = 0
-    l2_hits = l2_misses = l2_installs = l2_evictions = 0
-    l3_hits = l3_misses = l3_installs = l3_evictions = 0
-    fills_issued = 0
-    acquire_stall = 0
-    peak_occupancy = lfbs.peak_occupancy
-    loads_l1 = loads_lfb = loads_l2 = loads_l3 = loads_dram = 0
-    prefetch_count = prefetch_useless = 0
-
-    def drain(now):
-        nonlocal next_completion
-        nonlocal l1_installs, l1_evictions, l2_installs, l2_evictions
-        nonlocal l3_installs, l3_evictions
-        # Single pass: collect completed fills and the next completion
-        # horizon together (completing a fill never adds new fills, so
-        # the surviving minimum is final).
-        done = []
-        horizon = infinity
-        for request in in_flight.values():
-            completion = request.completion_cycle
-            if completion <= now:
-                done.append(request)
-            elif completion < horizon:
-                horizon = completion
-        for request in done:
-            line = request.line
-            del in_flight[line]
-            source = request.source_level
-            if request.non_temporal:
-                if source == "DRAM":
-                    ways = l3_sets[line % l3_n]
-                    if line in ways:
-                        del ways[line]
-                    elif len(ways) >= l3_assoc:
-                        del ways[next(iter(ways))]
-                        l3_evictions += 1
-                    ways[line] = None
-                    l3_installs += 1
-            elif source == "DRAM":
-                ways = l3_sets[line % l3_n]
-                if line in ways:
-                    del ways[line]
-                elif len(ways) >= l3_assoc:
-                    del ways[next(iter(ways))]
-                    l3_evictions += 1
-                ways[line] = None
-                l3_installs += 1
-                ways = l2_sets[line % l2_n]
-                if line in ways:
-                    del ways[line]
-                elif len(ways) >= l2_assoc:
-                    del ways[next(iter(ways))]
-                    l2_evictions += 1
-                ways[line] = None
-                l2_installs += 1
-            elif source == "L3":
-                ways = l2_sets[line % l2_n]
-                if line in ways:
-                    del ways[line]
-                elif len(ways) >= l2_assoc:
-                    del ways[next(iter(ways))]
-                    l2_evictions += 1
-                ways[line] = None
-                l2_installs += 1
-            ways = l1_sets[line % l1_n]
-            if line in ways:
-                del ways[line]
-            elif len(ways) >= l1_assoc:
-                del ways[next(iter(ways))]
-                l1_evictions += 1
-            ways[line] = None
-            l1_installs += 1
-        next_completion = horizon
-
-    def start_fill(line, now, non_temporal, is_prefetch):
-        # Caller guarantees `line` is neither in L1 nor in flight, and
-        # has already drained at `now`. Returns (completion, source,
-        # issue_stall) exactly like MemorySystem._start_fill.
-        nonlocal next_completion, fills_issued, peak_occupancy, acquire_stall
-        nonlocal l2_hits, l2_misses, l3_hits, l3_misses
-        start = now
-        while len(in_flight) >= lfb_capacity:
-            earliest = next_completion
-            acquire_stall += earliest - start
-            start = earliest
-            drain(start)
-        ways = l2_sets[line % l2_n]
-        if line in ways:
-            l2_hits += 1
-            del ways[line]
-            ways[line] = None
-            source, latency = "L2", l2_latency
-        else:
-            l2_misses += 1
-            ways = l3_sets[line % l3_n]
-            if line in ways:
-                l3_hits += 1
-                del ways[line]
-                ways[line] = None
-                source, latency = "L3", l3_latency
-            else:
-                l3_misses += 1
-                source, latency = "DRAM", dram_latency
-        completion = start + latency
-        in_flight[line] = FillRequest(
-            line, start, completion, source, non_temporal, is_prefetch
-        )
-        if completion < next_completion:
-            next_completion = completion
-        fills_issued += 1
-        occupancy = len(in_flight)
-        if occupancy > peak_occupancy:
-            peak_occupancy = occupancy
-        return completion, source, start - now
-
-    def translate_slow(vpn, now):
-        # DTLB miss (the caller handled the hit): STLB probe, then the
-        # page walk with its leaf-PTE access through the data caches.
-        # Returns the advanced clock.
-        nonlocal stlb_hits, walk_cycles_delta
-        nonlocal memory_stall, translation_stall, memory_slots
-        nonlocal l1_hits, l1_misses
-        stlb_ways = stlb_sets[vpn % stlb_n]
-        dtlb_ways = dtlb_sets[vpn % dtlb_n]
-        if vpn in stlb_ways:
-            del stlb_ways[vpn]
-            stlb_ways[vpn] = None
-            stlb_hits += 1
-            if vpn in dtlb_ways:
-                del dtlb_ways[vpn]
-            elif len(dtlb_ways) >= dtlb_assoc:
-                del dtlb_ways[next(iter(dtlb_ways))]
-            dtlb_ways[vpn] = None
-            memory_stall += stlb_latency
-            translation_stall += stlb_latency
-            memory_slots += issue_width * stlb_latency
-            return now + stlb_latency
-        # Page walk: fixed overhead + the PTE load (never recorded in
-        # loads_by_level), partially hidden by out-of-order execution.
-        probe_at = now + walk_base
-        pte_line = (PAGE_TABLE_BASE + vpn * PTE_SIZE) // line_size
-        if probe_at >= next_completion:
-            drain(probe_at)
-        ways = l1_sets[pte_line % l1_n]
-        if ways.pop(pte_line, 0) is None:
-            ways[pte_line] = None
-            l1_hits += 1
-            ready = probe_at + l1_latency
-            level = "L1"
-        else:
-            l1_misses += 1
-            request = in_flight_get(pte_line)
-            if request is not None:
-                request.non_temporal = False
-                request.is_prefetch = False
-                completion = request.completion_cycle
-                ready = completion if completion > probe_at else probe_at
-                level = request.source_level
-            else:
-                ready, level, _stall = start_fill(pte_line, probe_at, False, False)
-        cycles = walk_base + (ready - probe_at)
-        bucket = "PW-" + level
-        walks_by_level[bucket] = walks_by_level.get(bucket, 0) + 1
-        walk_cycles_delta += cycles
-        if vpn in stlb_ways:
-            del stlb_ways[vpn]
-        elif len(stlb_ways) >= stlb_assoc:
-            del stlb_ways[next(iter(stlb_ways))]
-        stlb_ways[vpn] = None
-        if vpn in dtlb_ways:
-            del dtlb_ways[vpn]
-        elif len(dtlb_ways) >= dtlb_assoc:
-            del dtlb_ways[next(iter(dtlb_ways))]
-        dtlb_ways[vpn] = None
-        charged = cycles - ooo_hide
-        if charged < walk_base:
-            charged = walk_base
-        memory_stall += charged
-        translation_stall += charged
-        memory_slots += issue_width * charged
-        return now + charged
-
-    for op, a, advance in rows:
-        if advance:  # the compute block preceding this memory operation
-            clock += advance
-        if op == 1:  # demand load
-            vpn = vpns[a]
-            dtlb_ways = dtlb_sets[vpn % dtlb_n]
-            if dtlb_ways.pop(vpn, 0) is None:
-                dtlb_ways[vpn] = None
-                dtlb_hits += 1
-            else:
-                clock = translate_slow(vpn, clock)
-            if clock >= next_completion:
-                drain(clock)
-            line = lines_first[a]
-            if line == lines_last[a]:
-                ways = l1_sets[line % l1_n]
-                if ways.pop(line, 0) is None:  # L1 hit
-                    ways[line] = None
-                    l1_hits += 1
-                    loads_l1 += 1
-                    if l1_exposed > 0:
-                        memory_stall += l1_exposed
-                        memory_slots += issue_width * l1_exposed
-                        clock += l1_exposed
-                    continue
-                l1_misses += 1
-                request = in_flight_get(line)
-                if request is not None:  # LFB hit: demand merge
-                    request.non_temporal = False
-                    request.is_prefetch = False
-                    loads_lfb += 1
-                    exposed = request.completion_cycle - clock - ooo_hide
-                    if exposed > 0:
-                        memory_stall += exposed
-                        memory_slots += issue_width * exposed
-                        clock += exposed
-                    continue
-                ready, source, stall = start_fill(line, clock, False, False)
-                if stall:
-                    memory_stall += stall
-                    lfb_stall += stall
-                    memory_slots += issue_width * stall
-                    clock += stall
-                if source == "L2":
-                    loads_l2 += 1
-                elif source == "L3":
-                    loads_l3 += 1
-                else:
-                    loads_dram += 1
-                exposed = ready - clock - ooo_hide
-                if exposed > 0:
-                    memory_stall += exposed
-                    memory_slots += issue_width * exposed
-                    clock += exposed
-                continue
-            # Straddling load (element sizes that divide the line size
-            # never take this path; kept for exactness).
-            ready = clock
-            level = "L1"
-            for line in range(line, lines_last[a] + 1):
-                if clock >= next_completion:
-                    drain(clock)
-                ways = l1_sets[line % l1_n]
-                if ways.pop(line, 0) is None:
-                    ways[line] = None
-                    l1_hits += 1
-                    line_ready = clock + l1_latency
-                    line_level = "L1"
-                    loads_l1 += 1
-                else:
-                    l1_misses += 1
-                    request = in_flight_get(line)
-                    if request is not None:
-                        request.non_temporal = False
-                        request.is_prefetch = False
-                        completion = request.completion_cycle
-                        line_ready = completion if completion > clock else clock
-                        line_level = "LFB"
-                        loads_lfb += 1
-                    else:
-                        line_ready, line_level, stall = start_fill(
-                            line, clock, False, False
-                        )
-                        if stall:
-                            memory_stall += stall
-                            lfb_stall += stall
-                            memory_slots += issue_width * stall
-                            clock += stall
-                        if line_level == "L2":
-                            loads_l2 += 1
-                        elif line_level == "L3":
-                            loads_l3 += 1
-                        else:
-                            loads_dram += 1
-                if line_ready >= ready:
-                    ready = line_ready
-                    level = line_level
-            exposed = ready - clock - ooo_hide
-            if exposed > 0:
-                memory_stall += exposed
-                memory_slots += issue_width * exposed
-                clock += exposed
-        elif op == 2:  # software prefetch (PREFETCHNTA)
-            vpn = vpns[a]
-            dtlb_ways = dtlb_sets[vpn % dtlb_n]
-            if dtlb_ways.pop(vpn, 0) is None:
-                dtlb_ways[vpn] = None
-                dtlb_hits += 1
-            else:
-                clock = translate_slow(vpn, clock)
-            # The prefetch instruction's own issue slot (statically
-            # accounted in ``totals``; only the clock moves here).
-            clock += prefetch_advance
-            line = lines_first[a]
-            last = lines_last[a]
-            while True:
-                if clock >= next_completion:
-                    drain(clock)
-                prefetch_count += 1
-                # Membership checks only: no LRU reorder, no hit/miss
-                # counting (MemorySystem.prefetch_line uses contains/find).
-                if line in l1_sets[line % l1_n] or line in in_flight:
-                    prefetch_useless += 1
-                else:
-                    _completion, _source, stall = start_fill(line, clock, True, True)
-                    if stall:
-                        memory_stall += stall
-                        lfb_stall += stall
-                        memory_slots += issue_width * stall
-                        clock += stall
-                if line == last:
-                    break
-                line += 1
-        # op == 0: trailing pure-compute row, handled above.
-
-    # One write-back: every deferred delta lands on the live objects.
-    engine.clock = clock
-    tmam = engine.tmam
-    tmam.cycles += clock - entry_clock
-    instructions_total, core_slots_total = totals
-    tmam.instructions += instructions_total
-    slots = tmam.slots
-    slots["Retiring"] += instructions_total
-    slots["Core"] += core_slots_total
-    slots["Memory"] += memory_slots
-    tmam.memory_stall_cycles += memory_stall
-    tmam.translation_stall_cycles += translation_stall
-    tmam.lfb_stall_cycles += lfb_stall
-    mem_stats = memory.stats
-    by_level = mem_stats.loads_by_level
-    by_level["L1"] += loads_l1
-    by_level["LFB"] += loads_lfb
-    by_level["L2"] += loads_l2
-    by_level["L3"] += loads_l3
-    by_level["DRAM"] += loads_dram
-    mem_stats.prefetches += prefetch_count
-    mem_stats.prefetch_useless += prefetch_useless
-    tlb_stats = tlb.stats
-    tlb_stats.dtlb_hits += dtlb_hits
-    tlb_stats.stlb_hits += stlb_hits
-    tlb_stats.walk_cycles += walk_cycles_delta
-    l1.stats.hits += l1_hits
-    l1.stats.misses += l1_misses
-    l1.stats.installs += l1_installs
-    l1.stats.evictions += l1_evictions
-    l2.stats.hits += l2_hits
-    l2.stats.misses += l2_misses
-    l2.stats.installs += l2_installs
-    l2.stats.evictions += l2_evictions
-    l3.stats.hits += l3_hits
-    l3.stats.misses += l3_misses
-    l3.stats.installs += l3_installs
-    l3.stats.evictions += l3_evictions
-    lfbs.fills_issued += fills_issued
-    lfbs.issue_stall_cycles += acquire_stall
-    lfbs.peak_occupancy = peak_occupancy
-    lfbs._next_completion = next_completion
-    return results
-
-
-# ----------------------------------------------------------------------
-# Stage 2: machine-specialized replay loops
-# ----------------------------------------------------------------------
-#
-# ``_replay_generic`` interprets a staged schedule with the machine
-# parameters held in locals and closures. The second staging level goes
-# further: for a fixed machine geometry (cache/TLB shapes, latencies,
-# LFB capacity) every parameter is a *constant*, so we generate the
-# replay loop's source with those constants folded in as literals and
-# every helper (drain, fill start, page walk) inlined — no closure
-# cells, no call overhead, branches on constants eliminated at
-# generation time. The source is compiled once with ``exec`` and
-# memoized per geometry signature. ``_replay_generic`` remains the
-# exact reference and the fallback for line-straddling accesses
-# (element sizes that do not divide the cache line).
-
-_IMPL_CACHE: dict = {}
-
-
-def _drain_src(now: str, C: dict) -> str:
-    """LFB drain + cache-install block (LineFillBuffers.drain inlined).
-
-    Completions come off a min-heap of ``(completion, seq, line)``
-    entries instead of scanning ``in_flight``. When several fills
-    complete in one drain, installs happen in fill-*start* order
-    (``seq``), which is exactly ``in_flight``'s dict insertion order —
-    the order the live ``LineFillBuffers.drain`` uses.
-    """
-    def install(level: str) -> str:
-        return f"""\
-d_ways = {level}_sets[d_line % {C[level + '_n']}]
-if d_line in d_ways:
-    del d_ways[d_line]
-elif LEN(d_ways) >= {C[level + '_a']}:
-    for d_evict in d_ways:
-        break
-    del d_ways[d_evict]
-    {level}_evictions += 1
-d_ways[d_line] = None
-{level}_installs += 1"""
-
-    return f"""\
-if {now} >= next_completion:
-    d_entry = heappop(heap)
-    if heap and heap[0][0] <= {now}:
-        d_done = [d_entry]
-        while heap and heap[0][0] <= {now}:
-            d_done.append(heappop(heap))
-        d_done.sort(key=BYSEQ)
-    else:
-        d_done = (d_entry,)
-    for d_entry in d_done:
-        d_line = d_entry[2]
-        d_req = in_flight.pop(d_line)
-        occ -= 1
-        pool.append(d_req)
-        d_src = d_req.source_level
-        if d_src == "DRAM":
-{_indent_text(install("l3"), "            ")}
-            if not d_req.non_temporal:
-{_indent_text(install("l2"), "                ")}
-        elif d_src == "L3" and not d_req.non_temporal:
-{_indent_text(install("l2"), "            ")}
-{_indent_text(install("l1"), "        ")}
-    next_completion = heap[0][0] if heap else INF"""
-
-
-def _start_fill_src(line: str, now: str, nt: str, pf: str, C: dict) -> str:
-    """Fill start (MemorySystem._start_fill inlined).
-
-    Leaves ``fill_completion``, ``fill_source`` and ``f_start`` bound;
-    the caller derives the issue stall from ``f_start - {now}``.
-    """
-    return f"""\
-f_start = {now}
-while occ >= {C["cap"]}:
-    f_earliest = next_completion
-    acquire_stall += f_earliest - f_start
-    f_start = f_earliest
-{_indent_text(_drain_src("f_start", C), "    ")}
-f_ways = l2_sets[{line} % {C["l2_n"]}]
-if f_ways.pop({line}, 0) is None:
-    f_ways[{line}] = None
-    l2_hits += 1
-    fill_source = "L2"
-    fill_completion = f_start + {C["l2_lat"]}
-else:
-    l2_misses += 1
-    f_ways = l3_sets[{line} % {C["l3_n"]}]
-    if f_ways.pop({line}, 0) is None:
-        f_ways[{line}] = None
-        l3_hits += 1
-        fill_source = "L3"
-        fill_completion = f_start + {C["l3_lat"]}
-    else:
-        l3_misses += 1
-        fill_source = "DRAM"
-        fill_completion = f_start + {C["dram"]}
-if pool:
-    f_req = pool.pop()
-    f_req.line = {line}
-    f_req.issue_cycle = f_start
-    f_req.completion_cycle = fill_completion
-    f_req.source_level = fill_source
-    f_req.non_temporal = {nt}
-    f_req.is_prefetch = {pf}
-else:
-    f_req = FillRequest({line}, f_start, fill_completion, fill_source, {nt}, {pf})
-in_flight[{line}] = f_req
-heappush(heap, (fill_completion, seq, {line}))
-seq += 1
-occ += 1
-if fill_completion < next_completion:
-    next_completion = fill_completion
-fills_issued += 1
-if occ > peak_occupancy:
-    peak_occupancy = occ"""
-
-
-def _translate_src(C: dict) -> str:
-    """DTLB probe + STLB probe + page walk (Tlb.translate inlined).
-
-    Binds ``t_ways`` to the DTLB set for ``vpn``; in the walk path the
-    re-install checks of the live code are dropped because ``vpn`` is
-    provably absent (the DTLB pop missed without mutating, the STLB pop
-    returned a miss, and PTE cache traffic never touches the TLBs).
-    """
-    iw, stlb_lat, walk_base, ooo = C["iw"], C["stlb_lat"], C["walk_base"], C["ooo"]
-    walk_l1_cycles = walk_base + C["l1_lat"]
-    walk_l1_charged = max(walk_base, walk_l1_cycles - ooo)
-    return f"""\
-vpn = vpns[a]
-t_ways = dtlb_sets[vpn % {C["dtlb_n"]}]
-if t_ways.pop(vpn, 0) is None:
-    t_ways[vpn] = None
-    dtlb_hits += 1
-else:
-    w_stlb = stlb_sets[vpn % {C["stlb_n"]}]
-    if w_stlb.pop(vpn, 0) is None:
-        w_stlb[vpn] = None
-        stlb_hits += 1
-        if LEN(t_ways) >= {C["dtlb_a"]}:
-            for t_evict in t_ways:
-                break
-            del t_ways[t_evict]
-        t_ways[vpn] = None
-        translation_stall += {stlb_lat}
-        clock += {stlb_lat}
-    else:
-        probe_at = clock + {walk_base}
-        pte_line = pte_lines[a]
-{_indent_text(_drain_src("probe_at", C), "        ")}
-        w_ways = l1_sets[pte_line % {C["l1_n"]}]
-        if w_ways.pop(pte_line, 0) is None:
-            w_ways[pte_line] = None
-            l1_hits += 1
-            walks_by_level["PW-L1"] = walks_by_level.get("PW-L1", 0) + 1
-            walk_cycles_delta += {walk_l1_cycles}
-            w_charged = {walk_l1_charged}
-        else:
-            l1_misses += 1
-            w_req = in_flight.get(pte_line)
-            if w_req is not None:
-                w_req.non_temporal = False
-                w_req.is_prefetch = False
-                w_c = w_req.completion_cycle
-                w_ready = w_c if w_c > probe_at else probe_at
-                w_level = w_req.source_level
-            else:
-{_indent_text(_start_fill_src("pte_line", "probe_at", "False", "False", C), "                ")}
-                w_ready = fill_completion
-                w_level = fill_source
-            w_cycles = {walk_base} + (w_ready - probe_at)
-            w_bucket = "PW-" + w_level
-            walks_by_level[w_bucket] = walks_by_level.get(w_bucket, 0) + 1
-            walk_cycles_delta += w_cycles
-            w_charged = w_cycles - {ooo}
-            if w_charged < {walk_base}:
-                w_charged = {walk_base}
-        if LEN(w_stlb) >= {C["stlb_a"]}:
-            for w_evict in w_stlb:
-                break
-            del w_stlb[w_evict]
-        w_stlb[vpn] = None
-        if LEN(t_ways) >= {C["dtlb_a"]}:
-            for t_evict in t_ways:
-                break
-            del t_ways[t_evict]
-        t_ways[vpn] = None
-        translation_stall += w_charged
-        clock += w_charged"""
-
-
-def _issue_stall_src(C: dict) -> str:
-    """Charge the LFB issue stall after an inlined fill start."""
-    return """\
-if f_start > clock:
-    lfb_stall += f_start - clock
-    clock = f_start"""
-
-
-def _build_impl(C: dict):
-    """Generate + compile the specialized replay loop for geometry ``C``."""
-    iw, ooo = C["iw"], C["ooo"]
-    l1_exposed = C["l1_lat"] - ooo
-    if l1_exposed > 0:
-        l1_hit_tail = f"""\
-                exposed_stall += {l1_exposed}
-                clock += {l1_exposed}
-"""
-    else:
-        l1_hit_tail = ""
-    source = f"""\
-def _staged_replay(rows, lines, vpns, pte_lines, in_flight, heap, seq,
-                   l1_sets, l2_sets, l3_sets, dtlb_sets, stlb_sets,
-                   walks_by_level, FillRequest,
-                   clock, next_completion, peak_occupancy,
-                   INF=float("inf"), heappush=_heappush, heappop=_heappop,
-                   BYSEQ=_byseq, LEN=len):
-    occ = LEN(in_flight)
-    pool = []
-    exposed_stall = translation_stall = lfb_stall = 0
-    dtlb_hits = stlb_hits = walk_cycles_delta = 0
-    l1_hits = l1_misses = l1_installs = l1_evictions = 0
-    l2_hits = l2_misses = l2_installs = l2_evictions = 0
-    l3_hits = l3_misses = l3_installs = l3_evictions = 0
-    fills_issued = acquire_stall = 0
-    loads_l1 = loads_lfb = loads_l2 = loads_l3 = loads_dram = 0
-    prefetch_count = prefetch_useless = 0
-    for op, a, advance in rows:
-        if advance:
-            clock += advance
-        if op == 1:
-{_indent_text(_translate_src(C), "            ")}
-{_indent_text(_drain_src("clock", C), "            ")}
-            line = lines[a]
-            ways = l1_sets[line % {C["l1_n"]}]
-            if ways.pop(line, 0) is None:
-                ways[line] = None
-                l1_hits += 1
-                loads_l1 += 1
-{l1_hit_tail}                continue
-            l1_misses += 1
-            req = in_flight.get(line)
-            if req is not None:
-                req.non_temporal = False
-                req.is_prefetch = False
-                loads_lfb += 1
-                exposed = req.completion_cycle - clock - {ooo}
-                if exposed > 0:
-                    exposed_stall += exposed
-                    clock += exposed
-                continue
-{_indent_text(_start_fill_src("line", "clock", "False", "False", C), "            ")}
-{_indent_text(_issue_stall_src(C), "            ")}
-            if fill_source == "L2":
-                loads_l2 += 1
-            elif fill_source == "L3":
-                loads_l3 += 1
-            else:
-                loads_dram += 1
-            exposed = fill_completion - clock - {ooo}
-            if exposed > 0:
-                exposed_stall += exposed
-                clock += exposed
-        elif op == 2:
-{_indent_text(_translate_src(C), "            ")}
-            clock += {C["pf_adv"]}
-{_indent_text(_drain_src("clock", C), "            ")}
-            line = lines[a]
-            prefetch_count += 1
-            if line in l1_sets[line % {C["l1_n"]}] or line in in_flight:
-                prefetch_useless += 1
-            else:
-{_indent_text(_start_fill_src("line", "clock", "True", "True", C), "                ")}
-{_indent_text(_issue_stall_src(C), "                ")}
-    return (clock, next_completion, peak_occupancy,
-            exposed_stall, translation_stall, lfb_stall,
-            dtlb_hits, stlb_hits, walk_cycles_delta,
-            l1_hits, l1_misses, l1_installs, l1_evictions,
-            l2_hits, l2_misses, l2_installs, l2_evictions,
-            l3_hits, l3_misses, l3_installs, l3_evictions,
-            fills_issued, acquire_stall,
-            loads_l1, loads_lfb, loads_l2, loads_l3, loads_dram,
-            prefetch_count, prefetch_useless)
-"""
-    namespace: dict = {
-        "_heappush": heappush,
-        "_heappop": heappop,
-        "_byseq": itemgetter(1),
-    }
-    exec(compile(source, "<staged-replay>", "exec"), namespace)  # noqa: S102
-    return namespace["_staged_replay"]
-
-
-def _specialized_impl(engine: ExecutionEngine):
-    """Memoized specialization for this engine's machine geometry."""
-    cost = engine.cost
-    memory = engine.memory
-    tlb = memory.tlb
-    dtlb, stlb = tlb._dtlb, tlb._stlb
-    l1, l2, l3 = memory.l1, memory.l2, memory.l3
-    iw = cost.issue_width
-    pf_ins = cost.prefetch_issue_instructions
-    pf_adv = _advance(cost.prefetch_issue_cycles, pf_ins, iw)
-    C = {
-        "iw": iw,
-        "ooo": cost.ooo_hide,
-        "walk_base": cost.page_walk_base_cycles,
-        "stlb_lat": tlb._stlb_latency,
-        "pf_adv": pf_adv,
-        "pf_ins": pf_ins,
-        "pf_core": iw * pf_adv - pf_ins,
-        "l1_n": l1.n_sets, "l1_a": l1.associativity, "l1_lat": l1.latency,
-        "l2_n": l2.n_sets, "l2_a": l2.associativity, "l2_lat": l2.latency,
-        "l3_n": l3.n_sets, "l3_a": l3.associativity, "l3_lat": l3.latency,
-        "dtlb_n": dtlb.n_sets, "dtlb_a": dtlb.associativity,
-        "stlb_n": stlb.n_sets, "stlb_a": stlb.associativity,
-        "cap": memory.lfbs.capacity,
-        "dram": engine.arch.dram_latency + memory.extra_dram_latency,
-    }
-    key = tuple(sorted(C.items()))
-    impl = _IMPL_CACHE.get(key)
-    if impl is None:
-        impl = _build_impl(C)
-        _IMPL_CACHE[key] = impl
-    return impl
-
-
-def _replay(engine: ExecutionEngine, rows, totals: tuple, addresses: list,
-            element_size: int, results: list) -> list:
-    """Replay a staged ``(3, n_rows)`` schedule: specialized loop, generic fallback."""
-    rows = zip(*rows.tolist())
-    memory = engine.memory
-    line_size = memory.line_size
-    addresses_np = np.asarray(addresses, dtype=np.int64)
-    lines_np = addresses_np // line_size
-    if element_size > 1 and bool(
-        (((addresses_np + (element_size - 1)) // line_size) != lines_np).any()
-    ):
-        # Line-straddling accesses: the specialized loop does not emit
-        # the multi-line paths; use the reference interpreter.
-        return _replay_generic(engine, rows, totals, addresses, element_size, results)
-    tlb = memory.tlb
-    vpns_np = addresses_np // tlb._page_size
-    pte_lines = ((PAGE_TABLE_BASE + vpns_np * PTE_SIZE) // line_size).tolist()
-    lfbs = memory.lfbs
-    # Seed the completion heap from fills already in flight; dict
-    # insertion order is fill-start order, which the sequence numbers
-    # preserve for same-cycle install ordering.
-    in_flight = lfbs._in_flight
-    heap = [
-        (request.completion_cycle, index, line)
-        for index, (line, request) in enumerate(in_flight.items())
-    ]
-    heapify(heap)
-    entry_clock = engine.clock
-    (clock, next_completion, peak_occupancy,
-     exposed_stall, translation_stall, lfb_stall,
-     dtlb_hits, stlb_hits, walk_cycles_delta,
-     l1_hits, l1_misses, l1_installs, l1_evictions,
-     l2_hits, l2_misses, l2_installs, l2_evictions,
-     l3_hits, l3_misses, l3_installs, l3_evictions,
-     fills_issued, acquire_stall,
-     loads_l1, loads_lfb, loads_l2, loads_l3, loads_dram,
-     prefetch_count, prefetch_useless) = _specialized_impl(engine)(
-        rows, lines_np.tolist(), vpns_np.tolist(), pte_lines,
-        in_flight, heap, len(heap),
-        memory.l1._sets, memory.l2._sets, memory.l3._sets,
-        tlb._dtlb._sets, tlb._stlb._sets,
-        tlb.stats.walks_by_level, FillRequest,
-        entry_clock, lfbs._next_completion, lfbs.peak_occupancy,
-    )
-    engine.clock = clock
-    tmam = engine.tmam
-    tmam.cycles += clock - entry_clock
-    instructions_total, core_slots_total = totals
-    tmam.instructions += instructions_total
-    slots = tmam.slots
-    slots["Retiring"] += instructions_total
-    slots["Core"] += core_slots_total
-    # Every memory-stall charge pessimizes issue slots at full width, so
-    # the Memory slot total is a product, not a separate accumulator.
-    memory_stall = exposed_stall + translation_stall + lfb_stall
-    slots["Memory"] += engine.cost.issue_width * memory_stall
-    tmam.memory_stall_cycles += memory_stall
-    tmam.translation_stall_cycles += translation_stall
-    tmam.lfb_stall_cycles += lfb_stall
-    by_level = memory.stats.loads_by_level
-    by_level["L1"] += loads_l1
-    by_level["LFB"] += loads_lfb
-    by_level["L2"] += loads_l2
-    by_level["L3"] += loads_l3
-    by_level["DRAM"] += loads_dram
-    memory.stats.prefetches += prefetch_count
-    memory.stats.prefetch_useless += prefetch_useless
-    tlb_stats = tlb.stats
-    tlb_stats.dtlb_hits += dtlb_hits
-    tlb_stats.stlb_hits += stlb_hits
-    tlb_stats.walk_cycles += walk_cycles_delta
-    l1 = memory.l1
-    l1.stats.hits += l1_hits
-    l1.stats.misses += l1_misses
-    l1.stats.installs += l1_installs
-    l1.stats.evictions += l1_evictions
-    l2 = memory.l2
-    l2.stats.hits += l2_hits
-    l2.stats.misses += l2_misses
-    l2.stats.installs += l2_installs
-    l2.stats.evictions += l2_evictions
-    l3 = memory.l3
-    l3.stats.hits += l3_hits
-    l3.stats.misses += l3_misses
-    l3.stats.installs += l3_installs
-    l3.stats.evictions += l3_evictions
-    lfbs.fills_issued += fills_issued
-    lfbs.issue_stall_cycles += acquire_stall
-    lfbs.peak_occupancy = peak_occupancy
-    lfbs._next_completion = next_completion
-    return results

@@ -372,8 +372,12 @@ class _ExecutorBase:
             return "tracer"  # span recorders need the live event stream
         if type(engine) is not ExecutionEngine:
             return "engine_subclass"
-        if compiled.search_depth(tasks.target.size) < 1:
+        table = tasks.target
+        if compiled.search_depth(table.size) < 1:
             return "shallow_table"
+        element_size = table.element_size
+        if engine.arch.line_size % element_size or table.region.base % element_size:
+            return "line_straddle"  # replay loads exactly one line per probe
         return None
 
     def _run(

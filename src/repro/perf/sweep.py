@@ -19,9 +19,7 @@ completion order.
   runner degrades to a plain in-process loop — same semantics, no
   subprocess machinery;
 * a :class:`~repro.perf.cache.ResultCache` can be attached: hits are
-  replayed without touching the pool, misses are computed and stored;
-* each point's garbage is collected before the next point starts (see
-  :func:`_run_points`), so resident memory stays flat across a sweep.
+  replayed without touching the pool, misses are computed and stored.
 
 Worker failures never hang the parent. An exception raised *by* a point
 function is pickled back and re-raised as-is; a worker process that
@@ -31,13 +29,11 @@ dies outright (crash, ``os._exit``) surfaces as
 
 from __future__ import annotations
 
-import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import PerfError, SimulationError
 
@@ -70,38 +66,9 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _run_points(points: Iterable[Callable[[], Any]]) -> list[Any]:
-    """Run each point, collecting its garbage before the next one starts.
-
-    A finished point's engines and memory system hold reference cycles
-    (bound-method fill callbacks, metric sources), so reference counting
-    never frees them; on the collector's own schedule, every point's
-    caches stay resident while later points pile on top. The objects
-    that exist before the sweep are frozen for its duration (unless the
-    application froze some itself), so each collection walks only what
-    the sweep allocated.
-    """
-    own_freeze = gc.get_freeze_count() == 0
-    if own_freeze:
-        gc.freeze()
-    try:
-        results = []
-        for point in points:
-            results.append(point())
-            gc.collect()
-        return results
-    finally:
-        if own_freeze:
-            gc.unfreeze()
-
-
 def _run_chunk(chunk: list[tuple[int, Callable, tuple, dict]]) -> list[tuple[int, Any]]:
     """Worker entry point: execute one chunk of indexed points."""
-    indexes = [index for index, _fn, _args, _kwargs in chunk]
-    results = _run_points(
-        partial(fn, *args, **dict(kwargs)) for _index, fn, args, kwargs in chunk
-    )
-    return list(zip(indexes, results))
+    return [(index, fn(*args, **kwargs)) for index, fn, args, kwargs in chunk]
 
 
 class SweepRunner:
@@ -169,7 +136,7 @@ class SweepRunner:
     def _run_serial(
         self, pending: Sequence[tuple[int, Task, str | None]]
     ) -> list[Any]:
-        return _run_points(task for _index, task, _key in pending)
+        return [task() for _index, task, _key in pending]
 
     def _run_parallel(
         self, pending: Sequence[tuple[int, Task, str | None]]

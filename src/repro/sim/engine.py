@@ -25,6 +25,7 @@ switch overhead via :meth:`ExecutionEngine.charge_switch`.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Generator, Iterable
 
@@ -35,12 +36,31 @@ from repro.obs.spans import NULL_RECORDER, NullRecorder
 from repro.sim.address import lines_touched
 from repro.sim.events import Compute, Event, FrameAlloc, Load, Prefetch, Store, Suspend
 from repro.sim.memory import MemorySystem
+from repro.sim.replay import _replay_rows
 from repro.sim.tmam import TmamStats
 
 __all__ = ["StreamContext", "EngineSnapshot", "ExecutionEngine", "InstructionStream"]
 
 #: An instruction stream: a generator yielding events and returning a result.
 InstructionStream = Generator[Event, None, object]
+
+
+def _engine_source(engine: "ExecutionEngine"):
+    """The engine's own metrics source, holding the engine weakly.
+
+    The registry belongs to the engine; a bound method here would make
+    every engine a reference cycle that outlives its last reference.
+    A registry that outlives its engine reports no engine counters.
+    """
+    ref = weakref.ref(engine)
+
+    def source() -> dict:
+        live = ref()
+        if live is None:
+            return {}
+        return {"cycles": live.clock, "issue_width": live.cost.issue_width}
+
+    return source
 
 
 @dataclass
@@ -83,23 +103,23 @@ class ExecutionEngine:
         self.tracer = tracer if tracer is not None else NULL_RECORDER
         #: Unified metrics registry covering engine, TMAM, and memory stats.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics.register_source("engine", self._engine_metrics)
+        self.metrics.register_source("engine", _engine_source(self))
         self.tmam.register_metrics(self.metrics)
         self.memory.register_metrics(self.metrics)
         # Type-keyed event dispatch: one dict probe replaces the
         # per-event ``type(event) is ...`` chain on the hottest loop in
-        # the simulator. Every handler takes (event, ctx) and returns
-        # the event's outcome.
+        # the simulator. Every handler takes (engine, event, ctx) and
+        # returns the event's outcome. The table holds the class's
+        # functions, not bound methods, so the engine is no reference
+        # cycle and subclass overrides still dispatch.
+        cls = type(self)
         self._handlers = {
-            Load: self.execute_load,
-            Compute: self._handle_compute,
-            Store: self._handle_store,
-            Prefetch: self._handle_prefetch,
-            FrameAlloc: self._handle_frame_alloc,
+            Load: cls.execute_load,
+            Compute: cls._handle_compute,
+            Store: cls._handle_store,
+            Prefetch: cls._handle_prefetch,
+            FrameAlloc: cls._handle_frame_alloc,
         }
-
-    def _engine_metrics(self) -> dict:
-        return {"cycles": self.clock, "issue_width": self.cost.issue_width}
 
     def attach_tracer(self, tracer: NullRecorder) -> None:
         """Record spans of subsequent execution into ``tracer``."""
@@ -334,6 +354,21 @@ class ExecutionEngine:
         if self.tracer.enabled:
             self.tracer.span("alloc", start, self.clock, name="frame alloc")
 
+    def execute_rows(self, rows, addresses, totals: tuple) -> None:
+        """Execute a staged stream of computes, loads and prefetches at once.
+
+        ``rows`` is a ``(3, n_rows)`` int64 array of ``(opcode,
+        address_index, advance)`` columns (see :mod:`repro.sim.replay`),
+        ``addresses`` the flat list of byte addresses its loads and
+        prefetches index, and ``totals`` the stream's static
+        ``(instructions, core_slots)`` compute accounting. The clock and
+        every counter end exactly where :meth:`compute`,
+        :meth:`execute_load` and :meth:`execute_prefetch` (``PREFETCHNTA``)
+        would leave them, provided each access lies within one cache
+        line. The batch records no spans and calls no subclass override.
+        """
+        _replay_rows(self, rows, addresses, totals)
+
     # ------------------------------------------------------------------
     # Stream driving
     # ------------------------------------------------------------------
@@ -370,7 +405,7 @@ class ExecutionEngine:
         handler = self._handlers.get(type(event))
         if handler is None:
             self._dispatch_unknown(event)
-        return handler(event, ctx)
+        return handler(self, event, ctx)
 
     def run(self, stream: InstructionStream, ctx: StreamContext | None = None):
         """Drive a non-suspending stream to completion; return its result."""
@@ -386,7 +421,7 @@ class ExecutionEngine:
                 handler = handlers.get(type(event))
                 if handler is None:
                     self._dispatch_unknown(event)
-                outcome = handler(event, ctx)
+                outcome = handler(self, event, ctx)
         except StopIteration as stop:
             return stop.value
 

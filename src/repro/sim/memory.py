@@ -17,6 +17,7 @@ level between the source and L1.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.config import ArchSpec
@@ -96,8 +97,20 @@ class MemorySystem:
         self.l1 = SetAssociativeCache(arch.l1d, arch.line_size)
         self.l2 = SetAssociativeCache(arch.l2, arch.line_size)
         self.l3 = SetAssociativeCache(arch.l3, arch.line_size)
-        self.lfbs = LineFillBuffers(arch.n_line_fill_buffers, self._complete_fill)
-        self.tlb = Tlb(arch.dtlb, arch.stlb, arch.page_size, arch.cost, self._pte_probe)
+        # The LFBs and the TLB call back into this memory system. The
+        # callbacks hold it weakly, so it is no reference cycle and a
+        # dropped memory system (caches included) is freed at once.
+        this = weakref.ref(self)
+        complete_fill = type(self)._complete_fill
+        pte_probe = type(self)._pte_probe
+        self.lfbs = LineFillBuffers(
+            arch.n_line_fill_buffers,
+            lambda request: complete_fill(this(), request),
+        )
+        self.tlb = Tlb(
+            arch.dtlb, arch.stlb, arch.page_size, arch.cost,
+            lambda addr, now: pte_probe(this(), addr, now),
+        )
         self.stats = MemoryStats()
         #: Extra cycles added to every DRAM access (0 = local socket).
         #: Raised by the NUMA ablation to model remote-socket memory.

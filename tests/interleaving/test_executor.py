@@ -350,3 +350,52 @@ class TestNoDirectSchedulerImports:
                     if self._is_forbidden(alias.name):
                         offenders.append(f"{relative}: {alias.name}")
         assert not offenders, offenders
+
+
+class TestSimStateStaysInSim:
+    """Acceptance: no module outside ``repro.sim`` touches the simulator's
+    private state. A name is sim-only when it starts with an underscore,
+    a ``repro/sim/`` class assigns it on ``self``, and no module outside
+    ``repro/sim/`` assigns it on ``self`` (those own a field of the same
+    name, like the hash table's ``_next``)."""
+
+    @staticmethod
+    def _self_assigned(tree: ast.AST) -> set:
+        return {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr.startswith("_")
+        }
+
+    def test_no_sim_private_reads_outside_sim(self):
+        package = ROOT / "src" / "repro"
+        sim_assigned: set = set()
+        other_assigned: set = set()
+        outside: dict = {}
+        for module in sorted(package.rglob("*.py")):
+            relative = module.relative_to(package)
+            tree = ast.parse(module.read_text())
+            if relative.parts[0] == "sim":
+                sim_assigned |= self._self_assigned(tree)
+            else:
+                other_assigned |= self._self_assigned(tree)
+                outside[relative] = tree
+        sim_only = sim_assigned - other_assigned
+        assert {"_sets", "_in_flight", "_dtlb"} <= sim_only  # the check has teeth
+        offenders = sorted(
+            {
+                f"{relative}: {node.attr}"
+                for relative, tree in outside.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in sim_only
+                and not (
+                    isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+                )
+            }
+        )
+        assert not offenders, offenders

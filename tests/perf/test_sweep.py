@@ -8,8 +8,19 @@ import pytest
 
 from repro.analysis import measure_binary_search
 from repro.analysis.experiments import TECHNIQUES
+from repro.config import HASWELL
 from repro.errors import PerfError, SimulationError, WorkloadError
+from repro.indexes.binary_search import binary_search_coro
+from repro.indexes.sorted_array import int_array_of_bytes
+from repro.interleaving import (
+    BulkLookup,
+    compiled_stats,
+    get_executor,
+    reset_compiled_stats,
+)
 from repro.perf import ResultCache, SweepRunner, Task, resolve_jobs
+from repro.sim import ExecutionEngine
+from repro.sim.allocator import AddressSpaceAllocator
 
 
 def double(x):
@@ -26,24 +37,6 @@ def boom(x):
 
 def die(x):
     os._exit(13)
-
-
-class _Cycle:
-    """Garbage only the cycle collector frees, like an engine and its memory."""
-
-    def __init__(self) -> None:
-        self.me = self
-
-
-#: Weak references to each point's cyclic garbage, in point order.
-_POINT_GARBAGE: list = []
-
-
-def leave_cycle(x):
-    """Count earlier points' garbage still alive, then leave some behind."""
-    alive = sum(ref() is not None for ref in _POINT_GARBAGE)
-    _POINT_GARBAGE.append(weakref.ref(_Cycle()))
-    return alive
 
 
 class TestMergeOrder:
@@ -72,27 +65,33 @@ class TestMergeOrder:
         assert runner.chunks_submitted == 0
 
 
-class TestPointGarbage:
-    def test_each_point_collected_before_the_next(self):
-        _POINT_GARBAGE.clear()
+class TestEngineGarbage:
+    """Engines are freed by reference counting alone, so the runner
+    needs no collection between points."""
+
+    def test_dropped_engine_dies_without_a_collection(self):
+        table = int_array_of_bytes(AddressSpaceAllocator(), "t", 1 << 16)
+        sorted_job = BulkLookup.sorted_array(table, list(range(0, 16_000, 97)))
+        stream_job = BulkLookup.stream(
+            lambda value, il: binary_search_coro(table, value, il), [1, 50, 999]
+        )
         enabled = gc.isenabled()
-        gc.disable()  # only the runner's own collections may free the cycles
+        gc.disable()  # a cycle would survive until the next collection
         try:
-            alive = SweepRunner(jobs=1).run([Task(leave_cycle, (i,)) for i in range(4)])
+            reset_compiled_stats()
+            engine = ExecutionEngine(HASWELL)
+            get_executor("CORO").run(sorted_job, engine, group_size=6)
+            get_executor("CORO").run(stream_job, engine, group_size=6)
+            assert compiled_stats()["replays"] == 1
+            assert compiled_stats()["fallbacks_by_reason"] == {"workload_kind": 1}
+            engine_ref = weakref.ref(engine)
+            memory_ref = weakref.ref(engine.memory)
+            del engine
+            assert engine_ref() is None
+            assert memory_ref() is None
         finally:
             if enabled:
                 gc.enable()
-        assert alive == [0, 0, 0, 0]
-        assert gc.get_freeze_count() == 0  # the sweep's freeze is undone
-
-    def test_application_freeze_left_alone(self):
-        gc.freeze()
-        try:
-            frozen = gc.get_freeze_count()
-            SweepRunner(jobs=1).run([Task(double, (i,)) for i in range(3)])
-            assert gc.get_freeze_count() == frozen
-        finally:
-            gc.unfreeze()
 
 
 class TestSimulatorBitIdentity:

@@ -1,0 +1,233 @@
+"""Property test: the batch replay kernel against the live engine.
+
+``ExecutionEngine.execute_rows`` runs a stream of computes, demand loads
+and software prefetches through one generated kernel. Issuing the same
+stream one event at a time through ``compute`` / ``execute_load`` /
+``execute_prefetch`` on a twin engine must leave both machines equal:
+clock, the whole ``metrics.snapshot()`` tree, cache and TLB contents in
+LRU order, and the fills still in flight.
+
+Hypothesis draws the machine (Haswell or a ``scaled(k)`` hierarchy,
+1–12 line-fill buffers, 0–800 extra DRAM cycles), a live prefix that
+leaves fills in flight and the caches and TLBs warm, an optional LFB
+shrink below the current occupancy (what the ``LfbShrink`` fault does),
+and the stream. Addresses come from a small pool whose lines collide in
+one set of every cache and whose pages collide in one set of both TLBs,
+so short streams reach every hit level, evictions, STLB hits and page
+walks at every PTE level (``test_pool_reaches_every_level``).
+"""
+
+import random
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.config import HASWELL, scaled
+from repro.sim import ExecutionEngine
+from repro.sim import replay
+from repro.sim.events import Load, Prefetch
+from repro.sim.replay import OP_COMPUTE, OP_LOAD, OP_PREFETCH, _advance
+
+ARCHES = (HASWELL, scaled(2), scaled(8), scaled(64))
+
+#: Pages 640 apart share a set in the DTLB and the STLB, and their lines
+#: at one page offset share a set in L1, L2 and L3 (on Haswell and on
+#: every ``scaled(k)``, whose set counts divide Haswell's). 24 pages
+#: overflow every one of those sets. Each of the last six pages is the
+#: neighbour of a colliding page and shares its leaf-PTE line; the page
+#: offsets put data lines in the L1 sets the PTE lines use, so PTE lines
+#: get evicted too.
+COLLIDING = [(1 << 20) + j * 640 for j in range(24)]
+PAGES = COLLIDING + [page + 1 for page in COLLIDING[:6]]
+OFFSETS = (0, 16 * 64, 40 * 64 + 8)
+POOL = [page * 4096 + offset for page in PAGES for offset in OFFSETS]
+
+
+def _at(page: int, offset: int = 0) -> int:
+    """Pool index of ``PAGES[page]`` at ``OFFSETS[offset]``."""
+    return page * len(OFFSETS) + offset
+
+
+#: Loads and prefetches stay inside one cache line.
+ACCESS_SIZE = 8
+
+compute = st.tuples(
+    st.just("C"),
+    st.sampled_from((0, 1, 3, 12, 40, 200, 400, 1_000)),
+    st.integers(0, 60),
+    st.booleans(),  # a row of its own, or folded into the next row's advance
+)
+#: A first colliding page and its neighbour: drawn often, so loads meet
+#: their own prefetches in flight and walks meet in-flight PTE fills.
+HOT = [_at(page, offset) for page in (0, 24) for offset in range(len(OFFSETS))]
+
+access = st.tuples(
+    st.sampled_from(("L", "P")),
+    st.one_of(st.integers(0, len(POOL) - 1), st.sampled_from(HOT)),
+)
+streams = st.lists(st.one_of(compute, access, access), max_size=200)
+
+#: Rare interleavings, pinned. A prefix that leaves page 0's line only
+#: in L3 (nine later lines evict it from the 8-way L1 and L2 sets) ...
+_L3_ONLY = [("L", _at(page)) for page in range(10)]
+#: ... then a DRAM prefetch and an L3 prefetch into one L1 set, completed
+#: by one drain: installs must follow fill-start order, not completion.
+_ONE_DRAIN = [("P", _at(10)), ("P", _at(0)), ("C", 1_000, 0, False), ("L", _at(11, 1))]
+#: A walk whose leaf PTE is in L1: the neighbour of a page just walked.
+_PTE_IN_L1 = [("L", _at(0)), ("C", 400, 8, True), ("L", _at(24, 2))]
+#: A demand load merging into its own prefetch, and a walk whose leaf
+#: PTE is still in flight for the neighbour's walk.
+_IN_FLIGHT = [("P", _at(2)), ("L", _at(2)), ("P", _at(0)), ("P", _at(24, 1))]
+
+
+def _lower(ops, cost) -> tuple:
+    """``ops`` as an ``execute_rows`` stream: row array and static totals."""
+    issue_width = cost.issue_width
+    prefetch_advance = _advance(
+        cost.prefetch_issue_cycles, cost.prefetch_issue_instructions, issue_width
+    )
+    columns: list = []
+    pending = instructions = advance_total = 0
+    for op in ops:
+        if op[0] == "C":
+            _tag, cycles, op_instructions, own_row = op
+            step = _advance(cycles, op_instructions, issue_width)
+            instructions += op_instructions
+            advance_total += step
+            if own_row:
+                columns.append((OP_COMPUTE, 0, pending + step))
+                pending = 0
+            else:
+                pending += step
+            continue
+        opcode = OP_LOAD if op[0] == "L" else OP_PREFETCH
+        columns.append((opcode, op[1], pending))
+        pending = 0
+        if opcode == OP_PREFETCH:
+            instructions += cost.prefetch_issue_instructions
+            advance_total += prefetch_advance
+    if pending:
+        columns.append((OP_COMPUTE, 0, pending))
+    rows = np.array(list(zip(*columns)) or [[], [], []], dtype=np.int64)
+    return rows, (instructions, issue_width * advance_total - instructions)
+
+
+def _live(engine, ops) -> None:
+    """Issue ``ops`` one event at a time."""
+    for op in ops:
+        if op[0] == "C":
+            engine.compute(op[1], op[2])
+        elif op[0] == "L":
+            engine.execute_load(Load(POOL[op[1]], ACCESS_SIZE))
+        else:
+            engine.execute_prefetch(Prefetch(POOL[op[1]], ACCESS_SIZE))
+
+
+def _state(engine) -> tuple:
+    memory = engine.memory
+    tlb = memory.tlb
+    return (
+        engine.clock,
+        engine.metrics.snapshot(),
+        [list(ways) for level in (memory.l1, memory.l2, memory.l3) for ways in level._sets],
+        [list(ways) for lru in (tlb._dtlb, tlb._stlb) for ways in lru._sets],
+        [
+            (r.line, r.issue_cycle, r.completion_cycle, r.source_level,
+             r.non_temporal, r.is_prefetch)
+            for r in memory.lfbs._in_flight.values()
+        ],
+        memory.lfbs._next_completion,
+    )
+
+
+def _twins(arch, prefix, extra_dram_latency=0, shrink=None) -> tuple:
+    """Two engines in the same state: ``prefix`` run live, then faults."""
+    engines = (ExecutionEngine(arch), ExecutionEngine(arch))
+    for engine in engines:
+        _live(engine, prefix)
+        memory = engine.memory
+        memory.extra_dram_latency = extra_dram_latency
+        occupancy = memory.lfbs.occupancy
+        if shrink is not None and occupancy > 1:
+            memory.lfbs.set_capacity(1 + shrink % (occupancy - 1))
+    return engines
+
+
+class TestKernelMatchesLiveEngine:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        arch=st.sampled_from(ARCHES),
+        lfbs=st.integers(1, 12),
+        extra_dram_latency=st.integers(0, 800),
+        prefix=st.lists(st.one_of(compute, access, access), max_size=60),
+        shrink=st.one_of(st.none(), st.integers(0, 11)),
+        ops=streams,
+    )
+    @example(
+        arch=HASWELL, lfbs=10, extra_dram_latency=0, prefix=_L3_ONLY,
+        shrink=None, ops=_ONE_DRAIN,
+    )
+    @example(
+        arch=HASWELL, lfbs=10, extra_dram_latency=0, prefix=[], shrink=None,
+        ops=_PTE_IN_L1,
+    )
+    @example(
+        arch=HASWELL, lfbs=10, extra_dram_latency=0, prefix=[], shrink=None,
+        ops=_IN_FLIGHT,
+    )
+    @example(
+        arch=scaled(8), lfbs=6, extra_dram_latency=400,
+        prefix=[("P", _at(page, 1)) for page in range(6)], shrink=3,
+        ops=[("P", _at(page, 2)) for page in range(6)] + [("L", _at(0, 1))],
+    )
+    def test_execute_rows_equals_event_by_event(
+        self, arch, lfbs, extra_dram_latency, prefix, shrink, ops
+    ):
+        arch = arch.replace(n_line_fill_buffers=lfbs)
+        batch, live = _twins(arch, prefix, extra_dram_latency, shrink)
+        assert _state(batch) == _state(live)
+        rows, totals = _lower(ops, arch.cost)
+        batch.execute_rows(rows, POOL, totals)
+        _live(live, ops)
+        assert _state(batch) == _state(live)
+
+    def test_pool_reaches_every_level(self):
+        chooser = random.Random(7)
+        ops = []
+        prefetched = 0
+        for _ in range(600):
+            draw = chooser.random()
+            if draw < 0.3:
+                ops.append(("C", chooser.choice((0, 5, 40, 200, 400)), 8, False))
+            elif draw < 0.4:  # the last prefetch's line, maybe still in flight
+                ops.append(("L", prefetched))
+            elif draw < 0.7:
+                ops.append(("L", chooser.randrange(len(POOL))))
+            else:
+                prefetched = chooser.randrange(len(POOL))
+                ops.append(("P", prefetched))
+        engine = ExecutionEngine(HASWELL)
+        rows, totals = _lower(ops, HASWELL.cost)
+        engine.execute_rows(rows, POOL, totals)
+        metrics = engine.metrics.snapshot()
+        assert all(metrics["memory"]["loads_by_level"].values())
+        assert all(metrics["cache"][level]["evictions"] for level in ("l1", "l2", "l3"))
+        assert metrics["tlb"]["stlb_hits"]
+        assert set(metrics["tlb"]["walks_by_level"]) == {
+            "PW-L1", "PW-L2", "PW-L3", "PW-DRAM"
+        }
+
+
+def test_kernel_is_generated_once_for_every_machine():
+    ops = [("P", 0), ("L", 3), ("C", 40, 8, True), ("L", 0)]
+    for arch in (HASWELL, scaled(8).replace(n_line_fill_buffers=2)):
+        engine = ExecutionEngine(arch)
+        engine.memory.extra_dram_latency = 300
+        rows, totals = _lower(ops, arch.cost)
+        engine.execute_rows(rows, POOL, totals)
+    assert replay._kernel.cache_info().misses == 1
