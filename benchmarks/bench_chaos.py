@@ -35,7 +35,8 @@ import statistics
 
 import pytest
 
-from repro.service import run_scenario, render_service_doc, get_scenario
+from repro.scenario import get_scenario
+from repro.service import run_scenario, render_service_doc
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SCENARIO = "chaos"

@@ -33,7 +33,7 @@ import statistics
 import pytest
 
 from repro.cluster import render_cluster_doc, run_cluster_scenario
-from repro.service import get_scenario
+from repro.scenario import get_scenario
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SCENARIO = "planet-quick"

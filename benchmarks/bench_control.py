@@ -39,7 +39,8 @@ import pytest
 
 from repro.analysis.reporting import format_table
 from repro.control import ACTION_NAMES, SIGNAL_NAMES
-from repro.service import get_scenario, run_scenario
+from repro.scenario import get_scenario
+from repro.service import run_scenario
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SCENARIO = "phase-shift"

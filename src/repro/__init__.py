@@ -61,7 +61,6 @@ registry, the serving server — for anything the facade doesn't cover.
 """
 
 import importlib as _importlib
-import warnings as _warnings
 
 from repro.config import HASWELL, ArchSpec, CacheSpec, CostModel, TlbSpec, scaled
 from repro.errors import (
@@ -142,18 +141,10 @@ _EXPORTS = {
         "SortedArrayInner",
         "in_predicate_plan",
     ),
-    "repro.service": (
-        "Scenario",
-        "ServiceConfig",
-        "ServiceReport",
-        "ServiceServer",
-        "get_scenario",
-        "scenario_names",
-    ),
+    "repro.service": ("ServiceConfig", "ServiceReport", "ServiceServer"),
     "repro.cluster": (
         "ClusterConfig",
         "ClusterReport",
-        "ClusterScenario",
         "ClusterServer",
         "ClusterTopology",
     ),
@@ -183,21 +174,15 @@ _EXPORTS = {
     "repro.control": ("AdaptiveController", "ControllerConfig"),
     "repro.scenario": (
         "ScenarioSpec",
+        "get_scenario",
         "load_spec_file",
         "parse_spec_text",
         "resolve_scenario",
-        "resolve_spec",
+        "scenario_names",
     ),
 }
 
 _LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
-
-#: Names still importable from the package root but superseded by the
-#: :mod:`repro.api` facade: accessing one emits a DeprecationWarning
-#: pointing at its replacement, then resolves to the old object.
-_DEPRECATED_ALIASES = {
-    "run_scenario": ("repro.service", "run_scenario", "repro.api.serve"),
-}
 
 
 def __getattr__(name: str):
@@ -208,15 +193,6 @@ def __getattr__(name: str):
         value = getattr(_importlib.import_module(module_name), name)
         globals()[name] = value
         return value
-    if name in _DEPRECATED_ALIASES:
-        module_name, attr, replacement = _DEPRECATED_ALIASES[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} instead "
-            f"(or import it from {module_name} directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_importlib.import_module(module_name), attr)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
@@ -246,5 +222,4 @@ __all__ = [
     "SpecError",
     "api",
     *_LAZY,
-    *_DEPRECATED_ALIASES,
 ]

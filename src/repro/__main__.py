@@ -90,7 +90,7 @@ def _configure_perf(args: argparse.Namespace) -> None:
 
 def _unknown(names: list[str]) -> int:
     """Report unknown experiment names on stderr; exit status 2."""
-    from repro.service.scenarios import SCENARIO_REGISTRY
+    from repro.scenario import SCENARIO_REGISTRY
 
     listing = ", ".join(available_experiments())
     for name in names:
@@ -112,9 +112,9 @@ def _unknown(names: list[str]) -> int:
 def _list_doc() -> dict:
     """The machine-readable counterpart of the ``list`` text output.
 
-    Every registered scenario appears as its serialized
-    ``repro.scenario/1`` spec — the exact document ``python -m repro
-    serve file:...`` would accept back.
+    Every catalogue scenario appears as its ``repro.scenario/1`` spec —
+    the exact document ``python -m repro serve file:...`` would accept
+    back.
     """
     from repro.faults.schedule import fault_profile_names, get_fault_profile
     from repro.interleaving.executor import (
@@ -122,8 +122,7 @@ def _list_doc() -> dict:
         executor_names,
         get_executor,
     )
-    from repro.scenario import ScenarioSpec
-    from repro.service.scenarios import SCENARIO_REGISTRY
+    from repro.scenario import SCENARIO_REGISTRY
 
     return {
         "schema": "repro.list/1",
@@ -137,10 +136,7 @@ def _list_doc() -> dict:
             for name in executor_names()
         ],
         "workload_kinds": list(WORKLOAD_KINDS),
-        "scenarios": [
-            ScenarioSpec.from_scenario(scenario).to_dict()
-            for scenario in SCENARIO_REGISTRY.values()
-        ],
+        "scenarios": [spec.to_dict() for spec in SCENARIO_REGISTRY.values()],
         "fault_profiles": [
             {"name": name, "description": get_fault_profile(name).description}
             for name in fault_profile_names()
@@ -152,9 +148,9 @@ def _list_main(argv: list[str]) -> int:
     """``python -m repro list [REF ...] [--json]``.
 
     With no arguments, the human-readable inventory (unchanged).
-    ``--json`` emits the ``repro.list/1`` document, each registered
+    ``--json`` emits the ``repro.list/1`` document, each catalogue
     scenario serialized as its ``repro.scenario/1`` spec. Positional
-    references (registry names or ``file:spec.yaml``) resolve and
+    references (catalogue names or ``file:spec.yaml``) resolve and
     print just those specs; malformed specs exit 2.
     """
     parser = argparse.ArgumentParser(
@@ -182,11 +178,11 @@ def _list_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from repro.errors import SpecError, WorkloadError
-    from repro.scenario import resolve_spec
+    from repro.scenario import resolve_scenario
 
     if args.refs:
         try:
-            specs = [resolve_spec(ref).to_dict() for ref in args.refs]
+            specs = [resolve_scenario(ref).to_dict() for ref in args.refs]
         except (WorkloadError, SpecError) as error:
             print(f"list: {error}", file=sys.stderr)
             return 2
@@ -211,7 +207,7 @@ def _list_text() -> int:
         executor_names,
         get_executor,
     )
-    from repro.service.scenarios import SCENARIO_REGISTRY
+    from repro.scenario import SCENARIO_REGISTRY
 
     print("experiments:")
     for name in available_experiments():
@@ -230,17 +226,16 @@ def _list_text() -> int:
         print(f"  {kind}")
     print()
     print("scenarios (python -m repro serve <name>):")
-    from repro.cluster.scenarios import ClusterScenario
-
     for scenario in SCENARIO_REGISTRY.values():
         techniques = "/".join(scenario.techniques)
         chaos = (
             f" faults={scenario.fault_profile}" if scenario.fault_profile else ""
         )
         shape = ""
-        if isinstance(scenario, ClusterScenario):
+        if scenario.kind == "cluster":
             shape = (
-                f" nodes={scenario.n_nodes} R={scenario.replication}"
+                f" nodes={scenario.config.n_nodes}"
+                f" R={scenario.config.replication}"
                 f" users={scenario.n_users:,}"
             )
         print(
@@ -265,13 +260,12 @@ def _list_text() -> int:
 def _serve_main(argv: list[str]) -> int:
     from repro.errors import ReproError, SpecError, WorkloadError
     from repro.faults.schedule import fault_profile_names, get_fault_profile
-    from repro.scenario import resolve_scenario
+    from repro.scenario import resolve_scenario, scenario_names
     from repro.service.loadgen import (
         render_service_doc,
         run_scenario,
         run_traced_scenario,
     )
-    from repro.service.scenarios import scenario_names
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -391,9 +385,8 @@ def _write_trace_artifacts(out_dir: str, traced: dict) -> list[str]:
 def _explain_main(argv: list[str]) -> int:
     from repro.errors import ReproError, SpecError, WorkloadError
     from repro.faults.schedule import fault_profile_names, get_fault_profile
-    from repro.scenario import resolve_scenario
+    from repro.scenario import resolve_scenario, scenario_names
     from repro.service.explain import explain_point, render_explain_doc
-    from repro.service.scenarios import scenario_names
 
     parser = argparse.ArgumentParser(
         prog="python -m repro explain",

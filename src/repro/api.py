@@ -326,9 +326,8 @@ def run_experiment(
 
 
 def serve(
-    spec=None,
+    spec,
     *,
-    scenario=None,
     seed: int = 0,
     faults=None,
     jobs: int | None = None,
@@ -336,22 +335,19 @@ def serve(
 ) -> ServeResult:
     """Run one serving scenario sweep (optionally fault-injected).
 
-    ``spec`` accepts any scenario reference — a registry name, a
-    ``file:scenario.yaml`` path, a ``repro.scenario/1`` dict, a
-    :class:`~repro.scenario.ScenarioSpec`, or a built
-    :class:`~repro.service.scenarios.Scenario` — and resolves it via
-    :func:`repro.scenario.resolve_scenario`. The old ``scenario=``
-    keyword still works but warns with ``DeprecationWarning``.
-    ``faults`` accepts a profile name (``"chaos"``), a
+    ``spec`` accepts any scenario reference — a catalogue name, a
+    ``file:scenario.yaml`` path, a ``repro.scenario/1`` dict, or a
+    :class:`~repro.scenario.ScenarioSpec` — and resolves it via
+    :func:`repro.scenario.resolve_scenario`. ``faults`` accepts a
+    profile name (``"chaos"``), a
     :class:`~repro.faults.schedule.FaultProfile`, or a ready-built
     :class:`~repro.faults.schedule.FaultSchedule`; ``None`` defers to
     the scenario's own default profile (no chaos for most scenarios).
     ``jobs``/``cache`` parallelise and memoise the per-(technique, load)
     points exactly as in :func:`run_experiment`.
     """
-    from repro.service.loadgen import _shim_scenario_kwarg, run_scenario
+    from repro.service.loadgen import run_scenario
 
-    spec = _shim_scenario_kwarg(spec, scenario, "serve")
     with _perf_scope(jobs, cache):
         doc = run_scenario(spec, seed=seed, faults=faults)
     cls = ClusterServeResult if doc.get("kind") == "cluster" else ServeResult
@@ -359,9 +355,8 @@ def serve(
 
 
 def serve_cluster(
-    spec=None,
+    spec,
     *,
-    scenario=None,
     seed: int = 0,
     faults=None,
     jobs: int | None = None,
@@ -369,19 +364,16 @@ def serve_cluster(
 ) -> ClusterServeResult:
     """Run one multi-node cluster sweep (``repro.cluster/1``).
 
-    Like :func:`serve` (including the spec-reference surface and the
-    deprecated ``scenario=`` keyword), but insists the scenario is a
-    :class:`~repro.cluster.scenarios.ClusterScenario` (``planet``,
-    ``planet-quick``, ``cluster-steady``, or one you registered) and
+    Like :func:`serve` (including the spec-reference surface), but
+    insists the scenario is of ``kind: cluster`` (``planet``,
+    ``planet-quick``, ``cluster-steady``, or a spec of your own) and
     returns the cluster-typed result with per-node accessors.
     :func:`serve` also accepts cluster scenarios and returns the same
     result type; this verb exists so callers who *require* routing get
     a loud error instead of a silently single-node run.
     """
     from repro.cluster.loadgen import run_cluster_scenario
-    from repro.service.loadgen import _shim_scenario_kwarg
 
-    spec = _shim_scenario_kwarg(spec, scenario, "serve_cluster")
     with _perf_scope(jobs, cache):
         doc = run_cluster_scenario(spec, seed=seed, faults=faults)
     return ClusterServeResult(
@@ -480,7 +472,6 @@ def run_plan(
     task_buffer: int | None = None,
     match_buffer: int | None = None,
     recorder=None,
-    **legacy,
 ) -> PlanRunResult:
     """Execute an IN-predicate query as a ``repro.query`` operator plan.
 
@@ -489,16 +480,11 @@ def run_plan(
     executes it, and reports per-operator cycle profiles. ``strategy``
     and ``group_size`` resolve exactly as :func:`repro.run_in_predicate`
     does (policy-driven when unset); batching and buffer knobs stream
-    the plan instead of running it in one batch per operator. Legacy
-    ``G=``/``g=``/``group=`` spellings canonicalize onto ``group_size``
-    with the same warnings and conflict errors as every executor
-    surface.
+    the plan instead of running it in one batch per operator.
     """
-    from repro.interleaving.executor import canonical_group_size
     from repro.query import in_predicate_plan
     from repro.sim.engine import ExecutionEngine
 
-    group_size = canonical_group_size(group_size, legacy)
     if engine is None:
         engine = ExecutionEngine(arch)
     plan = in_predicate_plan(

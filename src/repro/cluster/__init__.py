@@ -18,13 +18,11 @@ scales that machine out without changing its physics:
   replication 1, and zero interconnect cost it is bit-identical to the
   single-node server per same-seed run — the degenerate-identity
   contract the tests pin.
-- :mod:`repro.cluster.scenarios` / :mod:`repro.cluster.loadgen` — the
-  ``planet`` scenario family (millions of simulated users on diurnal,
-  region-rotating arrivals) and the sweep that emits ``repro.cluster/1``
+- :mod:`repro.cluster.loadgen` — the sweep that serves ``kind:
+  cluster`` scenarios (the ``planet`` family in
+  :mod:`repro.scenario.catalogue`: millions of simulated users on
+  diurnal, region-rotating arrivals) and emits ``repro.cluster/1``
   documents.
-
-Importing this package registers the cluster scenarios in the shared
-scenario registry, so the CLI, the facade, and the benchmarks see them.
 """
 
 from repro.cluster.loadgen import (
@@ -35,7 +33,6 @@ from repro.cluster.loadgen import (
     run_traced_cluster_scenario,
 )
 from repro.cluster.routing import ClusterRouter, HashRing
-from repro.cluster.scenarios import ClusterScenario
 from repro.cluster.server import ClusterConfig, ClusterReport, ClusterServer
 from repro.cluster.topology import (
     FREE_INTERCONNECT,
@@ -53,7 +50,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterReport",
     "ClusterRouter",
-    "ClusterScenario",
     "ClusterServer",
     "ClusterTopology",
     "HashRing",

@@ -18,14 +18,14 @@ twice what the entire unreplicated sequential fleet could sustain —
 the same axis convention as the single-node documents.
 
 ``run_scenario`` / ``run_traced_scenario`` in the service loadgen
-delegate here for :class:`~repro.cluster.scenarios.ClusterScenario`
-inputs, so every existing entry point (CLI, facade, benchmarks) speaks
-cluster without special-casing.
+delegate here for ``kind: cluster`` specs, so every existing entry
+point (CLI, facade, benchmarks) speaks cluster without special-casing.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,9 +48,12 @@ from repro.service.loadgen import (
     sequential_capacity,
 )
 from repro.sim.allocator import AddressSpaceAllocator
-from repro.cluster.scenarios import ClusterScenario
 from repro.cluster.server import ClusterReport, ClusterServer
+from repro.cluster.topology import TOPOLOGY_PRESETS, ClusterTopology
 from repro.workloads.generators import make_table
+
+if TYPE_CHECKING:
+    from repro.scenario import ScenarioSpec
 
 __all__ = [
     "CLUSTER_SCHEMA",
@@ -65,7 +68,24 @@ __all__ = [
 CLUSTER_SCHEMA = "repro.cluster/1"
 
 
-def user_keys(scenario: ClusterScenario, table_size: int, seed: int) -> list[int]:
+def _cluster_spec(ref) -> ScenarioSpec:
+    """Resolve ``ref``; a scenario that is not ``kind: cluster`` is a
+    :class:`WorkloadError` (a usage error at the CLI)."""
+    scenario = _resolve_ref(ref)
+    if scenario.kind != "cluster":
+        raise WorkloadError(
+            f"scenario {scenario.name!r} is not a cluster scenario; "
+            "use repro.service.loadgen.run_scenario"
+        )
+    return scenario
+
+
+def _topology(scenario: ScenarioSpec) -> ClusterTopology:
+    """Materialise a cluster scenario's topology preset."""
+    return TOPOLOGY_PRESETS[scenario.interconnect](scenario.config.n_nodes)
+
+
+def user_keys(scenario: ScenarioSpec, table_size: int, seed: int) -> list[int]:
     """One probe key per request, drawn through the user population.
 
     Each arrival is a uniformly-drawn user out of ``n_users``; each
@@ -84,7 +104,7 @@ def user_keys(scenario: ClusterScenario, table_size: int, seed: int) -> list[int
     return keys
 
 
-def home_nodes(scenario: ClusterScenario, topology, arrivals) -> list[int]:
+def home_nodes(scenario: ScenarioSpec, topology, arrivals) -> list[int]:
     """The home node of each request, from the arrival region stream.
 
     Diurnal arrivals carry a region per arrival; arrival regions map
@@ -119,7 +139,7 @@ def _cluster_point(report: ClusterReport) -> dict:
 
 
 def measure_cluster_point(
-    scenario: ClusterScenario,
+    scenario: ScenarioSpec,
     technique: str,
     multiplier: float,
     seed: int,
@@ -154,10 +174,10 @@ def measure_cluster_point(
     schedule = resolve_schedule(
         faults,
         horizon=fault_horizon(scenario.n_requests, rate),
-        n_shards=scenario.n_nodes,
+        n_shards=config.n_nodes,
         seed=seed,
     )
-    topology = scenario.topology()
+    nodes = _topology(scenario)
     tracer = RequestTracer() if trace else None
     server = ClusterServer(
         table,
@@ -165,10 +185,10 @@ def measure_cluster_point(
         arch=arch,
         seed=seed,
         faults=schedule,
-        topology=topology,
+        topology=nodes,
         **({"tracer": tracer} if tracer is not None else {}),
     )
-    homes = home_nodes(scenario, topology, arrivals)
+    homes = home_nodes(scenario, nodes, arrivals)
     report = server.serve(arrivals, values, homes=homes)
     point = _point(report, multiplier, rate)
     chaos = schedule is not None
@@ -191,7 +211,7 @@ def measure_cluster_point(
     return outcome
 
 
-def _cluster_sweep(scenario: ClusterScenario, seed: int, faults, trace=False):
+def _cluster_sweep(scenario: ScenarioSpec, seed: int, faults, trace=False):
     """The full (technique, load) sweep over the cluster."""
     arch = _arch_for(scenario)
     allocator = AddressSpaceAllocator(page_size=arch.page_size)
@@ -199,7 +219,7 @@ def _cluster_sweep(scenario: ClusterScenario, seed: int, faults, trace=False):
     capacity, cycles_per_lookup = sequential_capacity(
         table,
         arch,
-        n_shards=scenario.config.n_shards * scenario.n_nodes,
+        n_shards=scenario.config.n_shards * scenario.config.n_nodes,
         seed=seed,
     )
     args_tail = (True,) if trace else ()
@@ -220,7 +240,7 @@ def _cluster_sweep(scenario: ClusterScenario, seed: int, faults, trace=False):
 def _cluster_doc(
     scenario, seed, faults, arch, capacity, cycles_per_lookup, outcomes
 ):
-    topology = scenario.topology()
+    nodes = _topology(scenario)
     chaos = any(outcome["chaos"] for outcome in outcomes)
     controlled = any("control" in outcome["point"] for outcome in outcomes)
     doc = {
@@ -233,12 +253,12 @@ def _cluster_doc(
         "table_bytes": scenario.table_bytes,
         "n_requests": scenario.n_requests,
         "seed": seed,
-        "n_nodes": scenario.n_nodes,
-        "replication": scenario.replication,
+        "n_nodes": scenario.config.n_nodes,
+        "replication": scenario.config.replication,
         "n_shards_per_node": scenario.config.n_shards,
         "n_users": scenario.n_users,
-        "interconnect": topology.as_dict(),
-        "regions": list(topology.regions),
+        "interconnect": nodes.as_dict(),
+        "regions": list(nodes.regions),
         "seq_capacity_per_kcycle": capacity,
         "seq_cycles_per_lookup": cycles_per_lookup,
         "points": [outcome["point"] for outcome in outcomes],
@@ -252,7 +272,7 @@ def _cluster_doc(
 
 
 def run_cluster_scenario(
-    scenario: ClusterScenario | str,
+    scenario,
     *,
     seed: int = 0,
     faults: FaultSchedule | FaultProfile | str | None = None,
@@ -262,14 +282,10 @@ def run_cluster_scenario(
     The ``repro.cluster/1`` schema is emitted whether or not chaos is
     active (``fault_profile`` appears only when it is): the cluster
     fields — per-node counters, crossings — are the document's reason
-    to exist, not a chaos add-on.
+    to exist, not a chaos add-on. ``scenario`` is any reference
+    :func:`repro.scenario.resolve_scenario` accepts, of ``kind: cluster``.
     """
-    scenario = _resolve_ref(scenario)
-    if not isinstance(scenario, ClusterScenario):
-        raise WorkloadError(
-            f"scenario {scenario.name!r} is not a cluster scenario; "
-            "use repro.service.loadgen.run_scenario"
-        )
+    scenario = _cluster_spec(scenario)
     if faults is None:
         faults = scenario.fault_profile
     arch, capacity, cycles_per_lookup, outcomes = _cluster_sweep(
@@ -281,7 +297,7 @@ def run_cluster_scenario(
 
 
 def run_traced_cluster_scenario(
-    scenario: ClusterScenario | str,
+    scenario,
     *,
     seed: int = 0,
     faults: FaultSchedule | FaultProfile | str | None = None,
@@ -291,7 +307,7 @@ def run_traced_cluster_scenario(
     Attempt spans carry node-tagged lanes (``"n2/s0"``), so ``repro
     explain`` shows *which replica* won a hedge.
     """
-    scenario = _resolve_ref(scenario)
+    scenario = _cluster_spec(scenario)
     if faults is None:
         faults = scenario.fault_profile
     arch, capacity, cycles_per_lookup, outcomes = _cluster_sweep(

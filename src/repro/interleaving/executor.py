@@ -76,7 +76,6 @@ __all__ = [
     "STREAM",
     "BulkLookup",
     "Executor",
-    "canonical_group_size",
     "EXECUTOR_REGISTRY",
     "register_executor",
     "get_executor",
@@ -257,50 +256,6 @@ def executors_supporting(workload_kind: str) -> list[Executor]:
 # ----------------------------------------------------------------------
 
 
-#: Legacy spellings of ``group_size`` still accepted (one release) by
-#: :meth:`_ExecutorBase.run`; each use emits a DeprecationWarning.
-_GROUP_SIZE_ALIASES = ("G", "g", "group")
-
-
-def canonical_group_size(group_size: int | None, legacy: dict) -> int | None:
-    """Resolve the canonical ``group_size`` from legacy alias kwargs.
-
-    Historical call sites spelled the group width ``G=`` (the paper's
-    symbol) or ``group=``; the registry API canonicalizes on
-    ``group_size``. Aliases still work for one release — with a
-    DeprecationWarning — and conflicts with the canonical spelling are
-    rejected outright rather than silently picking one. Every surface
-    that accepts executor kwargs — ``Executor.run``, the ``repro.api``
-    facade, and the ``repro.query`` plan builders — resolves through
-    this one function so aliases behave identically everywhere.
-    """
-    import warnings
-
-    for alias in _GROUP_SIZE_ALIASES:
-        if alias not in legacy:
-            continue
-        value = legacy.pop(alias)
-        warnings.warn(
-            f"executor kwarg {alias!r} is deprecated; use group_size=",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if group_size is not None and group_size != value:
-            raise SchedulerError(
-                f"conflicting group sizes: group_size={group_size} vs "
-                f"{alias}={value}"
-            )
-        group_size = value
-    if legacy:
-        unknown = ", ".join(sorted(legacy))
-        raise SchedulerError(f"unknown executor kwargs: {unknown}")
-    return group_size
-
-
-#: Backwards-compatible name from before the function was public.
-_canonical_group_size = canonical_group_size
-
-
 class _ExecutorBase:
     """Shared plumbing: support checks, recorder attach, span tagging."""
 
@@ -327,9 +282,7 @@ class _ExecutorBase:
         *,
         group_size: int | None = None,
         recorder=None,
-        **legacy,
     ) -> list:
-        group_size = canonical_group_size(group_size, legacy)
         if not self.supports(tasks.kind):
             raise WorkloadError(
                 f"executor {self.name!r} does not support {tasks.kind!r} "

@@ -38,11 +38,7 @@ import numpy as np
 from repro.errors import QueryError
 from repro.indexes.base import INVALID_CODE
 from repro.indexes.binary_search import DEFAULT_COSTS, SearchCosts
-from repro.interleaving.executor import (
-    BulkLookup,
-    canonical_group_size,
-    get_executor,
-)
+from repro.interleaving.executor import BulkLookup, get_executor
 from repro.sim.engine import ExecutionEngine
 from repro.sim.tmam import TmamStats
 
@@ -500,10 +496,8 @@ class IndexJoin(Operator):
         settle: bool = True,
         label: str | None = None,
         tee: bool = False,
-        **legacy,
     ) -> None:
         super().__init__(label=label, tee=tee)
-        group_size = canonical_group_size(group_size, legacy)
         if task_buffer < 1 or match_buffer < 1:
             raise QueryError("task/match buffers need capacity >= 1")
         self.outer = outer
@@ -641,9 +635,7 @@ class InPredicateEncode(IndexJoin):
         match_buffer: int = DEFAULT_BUFFER,
         label: str = "in_predicate_encode",
         tee: bool = False,
-        **legacy,
     ) -> None:
-        group_size = canonical_group_size(group_size, legacy)
         self.column = column
         self.values = list(values)
         self.strategy = strategy

@@ -177,7 +177,6 @@ def in_predicate_plan(
     task_buffer: int | None = None,
     match_buffer: int | None = None,
     overhead_model=None,
-    **legacy,
 ) -> QueryPlan:
     """Build the Figure 1/8 IN-predicate query as an operator plan.
 
@@ -187,12 +186,8 @@ def in_predicate_plan(
     ``overhead_model(n_match_rows) -> cycles`` prices the work outside
     the operators (plan preparation, literal handling, result
     materialization); the default is the legacy cost model from
-    :mod:`repro.columnstore.query`. Legacy ``G=``/``g=``/``group=``
-    kwargs canonicalize onto ``group_size`` exactly as executors do.
+    :mod:`repro.columnstore.query`.
     """
-    from repro.interleaving.executor import canonical_group_size
-
-    group_size = canonical_group_size(group_size, legacy)
     predicate_values = list(predicate_values)
     if overhead_model is None:
         from repro.columnstore.query import (

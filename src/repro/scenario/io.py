@@ -1,14 +1,10 @@
 """Loading scenario specs: ``file:`` refs, JSON/YAML parsing, resolution.
 
 :func:`resolve_scenario` is the single coercion point every serving
-entry surface shares (the facade, the loadgens, the CLI): it accepts a
-registry name, a ``file:scenario.yaml`` reference, a plain dict, a
-:class:`~repro.scenario.spec.ScenarioSpec`, or an already-built
-:class:`~repro.service.scenarios.Scenario` — and funnels *everything*
-through one ``from_dict``/``to_dict`` round trip, so a scenario that
-reaches a server has by construction survived the strict spec
-validation. Registry scenarios round-trip byte-identically (pinned by
-tests), which keeps every existing output unchanged.
+entry surface shares (the facade, the loadgens, the CLI): it turns a
+catalogue name, a ``file:scenario.yaml`` reference, or a plain dict
+into a :class:`~repro.scenario.spec.ScenarioSpec`, and passes a spec
+through unchanged (a spec is valid by construction).
 
 YAML parsing is gated on :mod:`yaml` being importable; JSON always
 works. Malformed documents raise :class:`~repro.errors.SpecError`,
@@ -21,13 +17,13 @@ import json
 from pathlib import Path
 
 from repro.errors import SpecError
+from repro.scenario.catalogue import get_scenario
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
     "FILE_PREFIX",
     "parse_spec_text",
     "load_spec_file",
-    "resolve_spec",
     "resolve_scenario",
 ]
 
@@ -91,47 +87,20 @@ def load_spec_file(path: str | Path) -> ScenarioSpec:
     return parse_spec_text(text, format=format, source=str(path))
 
 
-def resolve_spec(ref) -> ScenarioSpec:
+def resolve_scenario(ref) -> ScenarioSpec:
     """Coerce any scenario reference into a validated spec.
 
-    Accepts a spec, a plain dict, a ``file:`` ref or registry name, or
-    a built scenario object (serialised via ``from_scenario``).
+    Accepts a spec, a plain dict, a ``file:`` reference, or a catalogue
+    name; anything else raises :class:`SpecError`.
     """
-    from repro.service.scenarios import Scenario, get_scenario
-
     if isinstance(ref, ScenarioSpec):
-        return ScenarioSpec.from_dict(ref.to_dict())
+        return ref
     if isinstance(ref, dict):
         return ScenarioSpec.from_dict(ref)
     if isinstance(ref, str):
         if ref.startswith(FILE_PREFIX):
             return load_spec_file(ref[len(FILE_PREFIX):])
-        return ScenarioSpec.from_scenario(get_scenario(ref))
-    if isinstance(ref, Scenario):
-        return ScenarioSpec.from_scenario(ref)
+        return get_scenario(ref)
     raise SpecError(
         f"cannot interpret {type(ref).__name__} as a scenario reference"
     )
-
-
-def resolve_scenario(ref):
-    """Coerce any scenario reference into a runnable scenario object.
-
-    Everything passes through one ``from_dict(to_dict(...))`` round
-    trip — *except* instances of ``Scenario`` subclasses the spec
-    format does not model (user-defined classes with extra behaviour),
-    which pass through unchanged rather than being lossily flattened.
-    """
-    from repro.cluster.scenarios import ClusterScenario
-    from repro.service.scenarios import Scenario
-
-    if isinstance(ref, Scenario) and type(ref) not in (
-        Scenario,
-        ClusterScenario,
-    ):
-        return ref
-    spec = resolve_spec(ref)
-    if isinstance(ref, (Scenario, dict, ScenarioSpec)):
-        return spec.to_scenario()
-    # String refs re-validate through the round trip too.
-    return ScenarioSpec.from_dict(spec.to_dict()).to_scenario()

@@ -1,29 +1,28 @@
 """``repro.scenario/1``: the declarative scenario spec.
 
-:class:`ScenarioSpec` is the one frozen surface unifying the previously
-divergent config shapes — :class:`~repro.service.scenarios.Scenario`,
-:class:`~repro.cluster.scenarios.ClusterScenario`, and the SLO-run
-kwargs — behind a versioned plain-data document:
+:class:`ScenarioSpec` is the one scenario type: the built-in catalogue
+(:mod:`repro.scenario.catalogue`), spec files, and every serving entry
+point share it. Its plain-data document is versioned:
 
 .. code-block:: yaml
 
     schema: repro.scenario/1
     name: flash-crowd
     kind: service            # or "cluster"
-    arrival: {kind: bursty, params: {burst_cycles: 20000}}
+    arrival: {kind: bursty, params: {burst_cycles: 15000, gap_cycles: 45000}}
     loads: [0.8, 1.6]
     techniques: [sequential, CORO]
     config: {max_batch: 24, overload_policy: shed, ...}
     fault_profile: chaos     # optional
 
-``from_dict`` validates **strictly**: unknown keys and out-of-range
-values raise :class:`~repro.errors.SpecError` carrying the dotted path
-of the offending field (``config.max_batch``, ``arrival.kind``) instead
-of silently ignoring extras — a typo'd knob fails loudly at parse time,
-never as a mysteriously-default run. ``to_dict`` emits the canonical
-plain-JSON form; registry scenarios round-trip through it byte-
-identically (pinned by tests), which is what lets every serving entry
-point route through this one surface without changing a single output.
+A spec is valid by construction: ``__post_init__`` checks every field
+value and raises :class:`~repro.errors.SpecError` carrying the dotted
+path of the offending field (``loads[1]``, ``arrival.params.gap_cycles``),
+so catalogue literals and ``dataclasses.replace`` copies are checked
+exactly as parsed documents are. ``from_dict`` adds the checks on
+document shape: unknown keys and wrongly-typed scalars fail loudly at
+parse time, never as a mysteriously-default run. ``to_dict`` emits the
+canonical plain-JSON form, and ``from_dict(spec.to_dict()) == spec``.
 """
 
 from __future__ import annotations
@@ -31,15 +30,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.cluster.scenarios import ClusterScenario
 from repro.cluster.server import ClusterConfig
 from repro.cluster.topology import TOPOLOGY_PRESETS
 from repro.control import ControllerConfig
 from repro.errors import ConfigurationError, SpecError, WorkloadError
 from repro.faults.schedule import get_fault_profile
 from repro.interleaving.executor import get_executor
-from repro.service.arrivals import ARRIVAL_KINDS
-from repro.service.scenarios import Scenario
 from repro.service.server import ServiceConfig
 
 __all__ = [
@@ -53,7 +49,7 @@ __all__ = [
 #: Schema tag every spec document must carry.
 SCENARIO_SPEC_SCHEMA = "repro.scenario/1"
 
-#: Scenario shapes the spec distinguishes.
+#: The scenario shapes a spec distinguishes (``kind``).
 SCENARIO_KINDS = ("service", "cluster")
 
 #: Top-level keys a spec document may carry (cluster-only keys included;
@@ -76,6 +72,37 @@ _TOP_LEVEL_KEYS = (
 )
 
 _CLUSTER_ONLY_KEYS = ("interconnect", "n_users")
+
+#: Per arrival kind: the ``arrival.params`` a spec must set, and those it
+#: may set. Capacity calibration derives the rest from each load point
+#: (``repro.service.loadgen``), so a spec cannot set those.
+_ARRIVAL_PARAMS = {
+    "poisson": ((), ()),
+    "bursty": (
+        ("burst_cycles", "gap_cycles"),
+        ("base_rate_per_kcycle", "burst_rate_per_kcycle"),
+    ),
+    "closed": (("think_cycles",), ()),
+    "diurnal": ((), ("n_regions", "day_cycles", "amplitude")),
+}
+_CALIBRATED_PARAMS = {
+    "poisson": "rate_per_kcycle",
+    "closed": "n_clients",
+    "diurnal": "base_rate_per_kcycle",
+}
+
+#: Scalar shape of each top-level field ``from_dict`` copies as is.
+_SCALAR_FIELD_TYPES: dict[str, tuple[tuple, bool]] = {
+    "name": ((str,), False),
+    "kind": ((str,), False),
+    "description": ((str,), False),
+    "table_bytes": ((int,), False),
+    "arch_scale": ((int,), False),
+    "n_requests": ((int,), False),
+    "fault_profile": ((str,), True),
+    "interconnect": ((str,), False),
+    "n_users": ((int,), False),
+}
 
 #: Scalar shape of each config field: (accepted types, allows None).
 #: ``bool`` must be listed before ``int`` checks anywhere both apply —
@@ -136,6 +163,15 @@ def _check_scalar(value, types, allow_none, path: str):
     return value
 
 
+def _parse_list(data, types, path: str) -> tuple:
+    if not isinstance(data, (list, tuple)):
+        raise SpecError("must be a non-empty list", path=path)
+    return tuple(
+        _check_scalar(value, types, False, f"{path}[{index}]")
+        for index, value in enumerate(data)
+    )
+
+
 def config_from_dict(
     data: dict, *, cluster: bool = False, path: str = "config"
 ) -> ServiceConfig:
@@ -180,13 +216,9 @@ def _controller_from_dict(data: dict, *, path: str) -> ControllerConfig:
         _check_scalar(value, types, allow_none, f"{path}.{key}")
         kwargs[key] = value
     if "techniques" in kwargs:
-        techniques = []
-        for index, name in enumerate(kwargs["techniques"]):
-            item_path = f"{path}.techniques[{index}]"
-            _check_scalar(name, (str,), False, item_path)
-            _check_technique(name, item_path)
-            techniques.append(name)
-        kwargs["techniques"] = tuple(techniques)
+        kwargs["techniques"] = _parse_list(
+            kwargs["techniques"], (str,), f"{path}.techniques"
+        )
     try:
         return ControllerConfig(**kwargs)
     except ConfigurationError as error:
@@ -211,33 +243,129 @@ def config_to_dict(config: ServiceConfig) -> dict:
     return record
 
 
+def _parse_arrival(data) -> tuple[str, dict]:
+    if not isinstance(data, dict):
+        raise SpecError(
+            f"expected a mapping, got {type(data).__name__}", path="arrival"
+        )
+    for key in data:
+        if key not in ("kind", "params"):
+            raise SpecError("unknown field", path=f"arrival.{key}")
+    kind = _check_scalar(
+        data.get("kind", "poisson"), (str,), False, "arrival.kind"
+    )
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise SpecError(
+            f"expected a mapping, got {type(params).__name__}",
+            path="arrival.params",
+        )
+    for key, value in params.items():
+        _check_scalar(value, _NUMBER, False, f"arrival.params.{key}")
+    return kind, dict(params)
+
+
+def _check_arrival(kind: str, params: dict) -> None:
+    if kind not in _ARRIVAL_PARAMS:
+        raise SpecError(
+            f"unknown arrival kind (have: {', '.join(sorted(_ARRIVAL_PARAMS))})",
+            path="arrival.kind",
+        )
+    required, optional = _ARRIVAL_PARAMS[kind]
+    for key in params:
+        path = f"arrival.params.{key}"
+        if key == _CALIBRATED_PARAMS.get(kind):
+            raise SpecError(
+                "set per load point by capacity calibration; scale loads "
+                "instead",
+                path=path,
+            )
+        if key not in required + optional:
+            known = ", ".join(required + optional) or "none"
+            raise SpecError(
+                f"unknown {kind} arrival parameter (have: {known})", path=path
+            )
+    for key in required:
+        if key not in params:
+            raise SpecError(
+                f"required for {kind} arrivals", path=f"arrival.params.{key}"
+            )
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """The unified, declarative form of one serving scenario."""
+    """One serving scenario, end to end; valid by construction."""
 
     name: str
     kind: str = "service"
     description: str = ""
     arrival_kind: str = "poisson"
+    #: Kind-specific arrival knobs (bursty phases, closed-loop think).
     arrival_params: dict = field(default_factory=dict)
+    #: Offered load per point, as multiples of sequential capacity.
     loads: tuple[float, ...] = (0.4, 0.9, 1.8, 3.0)
     techniques: tuple[str, ...] = ("sequential", "GP", "AMAC", "CORO")
     table_bytes: int = 4 << 20
+    #: Factor for :func:`repro.config.scaled`; 1 = the full Haswell spec.
     arch_scale: int = 64
     n_requests: int = 400
+    #: Default fault profile (``repro.faults``); ``None`` = no chaos.
+    #: ``python -m repro serve <name> --faults <profile>`` overrides it.
     fault_profile: str | None = None
+    #: A :class:`~repro.cluster.server.ClusterConfig` for ``kind: cluster``.
     config: ServiceConfig = field(default_factory=ServiceConfig)
     #: Cluster-only: topology preset and simulated-user population.
     interconnect: str = "planet"
     n_users: int = 1_000_000
 
-    # ------------------------------------------------------------------
-    # Dict round-trip
-    # ------------------------------------------------------------------
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise SpecError("must be a non-empty string", path="name")
+        if self.kind not in SCENARIO_KINDS:
+            raise SpecError(
+                f"expected one of {SCENARIO_KINDS}, got {self.kind!r}",
+                path="kind",
+            )
+        cluster = self.kind == "cluster"
+        if isinstance(self.config, ClusterConfig) != cluster:
+            wanted = "ClusterConfig" if cluster else "ServiceConfig"
+            raise SpecError(f"a {self.kind} scenario takes a {wanted}", path="config")
+        if not cluster:
+            for key in _CLUSTER_ONLY_KEYS:
+                if getattr(self, key) != self.__dataclass_fields__[key].default:
+                    raise SpecError("only valid for kind: cluster", path=key)
+        _check_arrival(self.arrival_kind, self.arrival_params)
+        for key in ("loads", "techniques"):
+            if not getattr(self, key):
+                raise SpecError("must be a non-empty list", path=key)
+        for index, load in enumerate(self.loads):
+            if load <= 0:
+                raise SpecError(
+                    "load multipliers must be positive", path=f"loads[{index}]"
+                )
+        for index, name in enumerate(self.techniques):
+            _check_technique(name, f"techniques[{index}]")
+        controller = self.config.controller
+        for index, name in enumerate(controller.techniques if controller else ()):
+            _check_technique(name, f"config.controller.techniques[{index}]")
+        for key in ("table_bytes", "arch_scale", "n_requests", "n_users"):
+            if getattr(self, key) < 1:
+                raise SpecError("must be positive", path=key)
+        if self.fault_profile is not None:
+            try:
+                get_fault_profile(self.fault_profile)
+            except WorkloadError as error:
+                raise SpecError(str(error), path="fault_profile") from error
+        if cluster and self.interconnect not in TOPOLOGY_PRESETS:
+            raise SpecError(
+                f"unknown topology preset {self.interconnect!r} (have: "
+                f"{', '.join(sorted(TOPOLOGY_PRESETS))})",
+                path="interconnect",
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """Parse and strictly validate one spec document."""
+        """Parse one spec document (the inverse of ``to_dict``)."""
         if not isinstance(data, dict):
             raise SpecError(
                 f"a scenario spec must be a mapping, got {type(data).__name__}"
@@ -251,140 +379,28 @@ class ScenarioSpec:
                 f"expected {SCENARIO_SPEC_SCHEMA!r}, got {schema!r}",
                 path="schema",
             )
-        name = _check_scalar(data.get("name"), (str,), False, "name")
-        if not name:
-            raise SpecError("must be a non-empty string", path="name")
-        kind = _check_scalar(data.get("kind", "service"), (str,), False, "kind")
-        if kind not in SCENARIO_KINDS:
-            raise SpecError(
-                f"expected one of {SCENARIO_KINDS}, got {kind!r}", path="kind"
-            )
-        if kind != "cluster":
+        fields = {
+            key: _check_scalar(data.get(key), types, allow_none, key)
+            for key, (types, allow_none) in _SCALAR_FIELD_TYPES.items()
+            if key in data or key == "name"
+        }
+        cluster = fields.get("kind") == "cluster"
+        if not cluster:
             for key in _CLUSTER_ONLY_KEYS:
                 if key in data:
-                    raise SpecError(
-                        "only valid for kind: cluster", path=key
-                    )
-        description = _check_scalar(
-            data.get("description", ""), (str,), False, "description"
-        )
-        arrival_kind, arrival_params = cls._parse_arrival(
-            data.get("arrival", {"kind": "poisson", "params": {}})
-        )
-        loads = cls._parse_loads(data.get("loads", [0.4, 0.9, 1.8, 3.0]))
-        techniques = cls._parse_techniques(
-            data.get("techniques", ["sequential", "GP", "AMAC", "CORO"])
-        )
-        table_bytes = _check_scalar(
-            data.get("table_bytes", 4 << 20), (int,), False, "table_bytes"
-        )
-        if table_bytes < 1:
-            raise SpecError("must be positive", path="table_bytes")
-        arch_scale = _check_scalar(
-            data.get("arch_scale", 64), (int,), False, "arch_scale"
-        )
-        if arch_scale < 1:
-            raise SpecError("must be positive", path="arch_scale")
-        n_requests = _check_scalar(
-            data.get("n_requests", 400), (int,), False, "n_requests"
-        )
-        if n_requests < 1:
-            raise SpecError("must be positive", path="n_requests")
-        fault_profile = _check_scalar(
-            data.get("fault_profile"), (str,), True, "fault_profile"
-        )
-        if fault_profile is not None:
-            try:
-                get_fault_profile(fault_profile)
-            except WorkloadError as error:
-                raise SpecError(str(error), path="fault_profile") from error
-        config = config_from_dict(
-            data.get("config", {}), cluster=(kind == "cluster")
-        )
-        interconnect = _check_scalar(
-            data.get("interconnect", "planet"), (str,), False, "interconnect"
-        )
-        if kind == "cluster" and interconnect not in TOPOLOGY_PRESETS:
-            raise SpecError(
-                f"unknown topology preset {interconnect!r} (have: "
-                f"{', '.join(sorted(TOPOLOGY_PRESETS))})",
-                path="interconnect",
+                    raise SpecError("only valid for kind: cluster", path=key)
+        if "arrival" in data:
+            fields["arrival_kind"], fields["arrival_params"] = _parse_arrival(
+                data["arrival"]
             )
-        n_users = _check_scalar(
-            data.get("n_users", 1_000_000), (int,), False, "n_users"
-        )
-        if n_users < 1:
-            raise SpecError("must be positive", path="n_users")
-        return cls(
-            name=name,
-            kind=kind,
-            description=description,
-            arrival_kind=arrival_kind,
-            arrival_params=arrival_params,
-            loads=loads,
-            techniques=techniques,
-            table_bytes=table_bytes,
-            arch_scale=arch_scale,
-            n_requests=n_requests,
-            fault_profile=fault_profile,
-            config=config,
-            interconnect=interconnect,
-            n_users=n_users,
-        )
-
-    @staticmethod
-    def _parse_arrival(data) -> tuple[str, dict]:
-        if not isinstance(data, dict):
-            raise SpecError(
-                f"expected a mapping, got {type(data).__name__}", path="arrival"
+        if "loads" in data:
+            fields["loads"] = _parse_list(data["loads"], _NUMBER, "loads")
+        if "techniques" in data:
+            fields["techniques"] = _parse_list(
+                data["techniques"], (str,), "techniques"
             )
-        for key in data:
-            if key not in ("kind", "params"):
-                raise SpecError("unknown field", path=f"arrival.{key}")
-        kind = _check_scalar(
-            data.get("kind", "poisson"), (str,), False, "arrival.kind"
-        )
-        if kind not in ARRIVAL_KINDS:
-            raise SpecError(
-                f"unknown arrival kind (have: "
-                f"{', '.join(sorted(ARRIVAL_KINDS))})",
-                path="arrival.kind",
-            )
-        params = data.get("params", {})
-        if not isinstance(params, dict):
-            raise SpecError(
-                f"expected a mapping, got {type(params).__name__}",
-                path="arrival.params",
-            )
-        for key, value in params.items():
-            _check_scalar(value, _NUMBER, False, f"arrival.params.{key}")
-        return kind, dict(params)
-
-    @staticmethod
-    def _parse_loads(data) -> tuple[float, ...]:
-        if not isinstance(data, (list, tuple)) or not data:
-            raise SpecError("must be a non-empty list", path="loads")
-        loads = []
-        for index, value in enumerate(data):
-            _check_scalar(value, _NUMBER, False, f"loads[{index}]")
-            if value <= 0:
-                raise SpecError(
-                    "load multipliers must be positive", path=f"loads[{index}]"
-                )
-            loads.append(value)
-        return tuple(loads)
-
-    @staticmethod
-    def _parse_techniques(data) -> tuple[str, ...]:
-        if not isinstance(data, (list, tuple)) or not data:
-            raise SpecError("must be a non-empty list", path="techniques")
-        techniques = []
-        for index, name in enumerate(data):
-            item_path = f"techniques[{index}]"
-            _check_scalar(name, (str,), False, item_path)
-            _check_technique(name, item_path)
-            techniques.append(name)
-        return tuple(techniques)
+        fields["config"] = config_from_dict(data.get("config", {}), cluster=cluster)
+        return cls(**fields)
 
     def to_dict(self) -> dict:
         """The canonical plain-JSON document (inverse of ``from_dict``)."""
@@ -409,56 +425,3 @@ class ScenarioSpec:
             record["interconnect"] = self.interconnect
             record["n_users"] = self.n_users
         return record
-
-    # ------------------------------------------------------------------
-    # Scenario round-trip
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "ScenarioSpec":
-        """Serialise an existing (registry) scenario object."""
-        cluster = isinstance(scenario, ClusterScenario)
-        kwargs = dict(
-            name=scenario.name,
-            kind="cluster" if cluster else "service",
-            description=scenario.description,
-            arrival_kind=scenario.arrival_kind,
-            arrival_params=dict(scenario.arrival_params or {}),
-            loads=tuple(scenario.loads),
-            techniques=tuple(scenario.techniques),
-            table_bytes=scenario.table_bytes,
-            arch_scale=scenario.arch_scale,
-            n_requests=scenario.n_requests,
-            fault_profile=scenario.fault_profile,
-            config=scenario.config,
-        )
-        if cluster:
-            kwargs["interconnect"] = scenario.interconnect
-            kwargs["n_users"] = scenario.n_users
-        return cls(**kwargs)
-
-    def to_scenario(self) -> Scenario:
-        """Materialise the runnable scenario object."""
-        kwargs = dict(
-            name=self.name,
-            description=self.description,
-            arrival_kind=self.arrival_kind,
-            arrival_params=dict(self.arrival_params),
-            loads=self.loads,
-            techniques=self.techniques,
-            table_bytes=self.table_bytes,
-            arch_scale=self.arch_scale,
-            n_requests=self.n_requests,
-            config=self.config,
-            fault_profile=self.fault_profile,
-        )
-        try:
-            if self.kind == "cluster":
-                return ClusterScenario(
-                    interconnect=self.interconnect,
-                    n_users=self.n_users,
-                    **kwargs,
-                )
-            return Scenario(**kwargs)
-        except ConfigurationError as error:
-            raise SpecError(str(error)) from error

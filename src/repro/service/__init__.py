@@ -10,10 +10,10 @@ bounded queue and token-bucket rate limiting
 ``max_batch``/``max_wait_cycles``-bounded groups
 (:mod:`~repro.service.coalescer`), and dispatch through the executor
 registry onto shared-LLC engine shards
-(:mod:`~repro.service.server`). Named scenarios and the
-throughput-vs-latency sweep live in :mod:`~repro.service.scenarios` and
-:mod:`~repro.service.loadgen`; ``python -m repro serve <scenario>`` is
-the CLI surface and ``docs/serving.md`` the narrative.
+(:mod:`~repro.service.server`). The throughput-vs-latency sweep lives
+in :mod:`~repro.service.loadgen` (the scenarios it serves are specs in
+:mod:`repro.scenario`); ``python -m repro serve <scenario>`` is the
+CLI surface and ``docs/serving.md`` the narrative.
 """
 
 from repro.service.admission import (
@@ -47,13 +47,6 @@ from repro.service.loadgen import (
     sequential_capacity,
 )
 from repro.service.request import OUTCOMES, Request
-from repro.service.scenarios import (
-    SCENARIO_REGISTRY,
-    Scenario,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
 from repro.service.server import (
     PERCENTILES,
     ServiceConfig,
@@ -69,7 +62,6 @@ __all__ = [
     "OUTCOMES",
     "OVERLOAD_POLICIES",
     "PERCENTILES",
-    "SCENARIO_REGISTRY",
     "SERVICE_SCHEMA",
     "SLO_SCHEMA",
     "AdmissionController",
@@ -79,22 +71,18 @@ __all__ = [
     "ClosedLoopArrivals",
     "PoissonArrivals",
     "Request",
-    "Scenario",
     "ServiceConfig",
     "ServiceReport",
     "ServiceServer",
     "TokenBucket",
     "explain_point",
     "fault_horizon",
-    "get_scenario",
     "make_arrivals",
     "percentile",
-    "register_scenario",
     "render_explain_doc",
     "render_service_doc",
     "run_scenario",
     "run_slo_scenario",
     "run_traced_scenario",
-    "scenario_names",
     "sequential_capacity",
 ]

@@ -18,17 +18,23 @@ tracing needs the live span trees, which never enter the cache.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import SimulationError, WorkloadError
 from repro.obs.hist import exemplar_from_dict
 from repro.obs.rtrace import critical_path, trace_errors
 from repro.service.loadgen import (
+    _arch_for,
+    _fault_name,
     _resolve_ref,
     measure_service_point,
     sequential_capacity,
 )
-from repro.service.scenarios import Scenario
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.workloads.generators import make_table
+
+if TYPE_CHECKING:
+    from repro.scenario import ScenarioSpec
 
 __all__ = ["EXPLAIN_SCHEMA", "explain_point", "render_explain_doc"]
 
@@ -36,7 +42,7 @@ __all__ = ["EXPLAIN_SCHEMA", "explain_point", "render_explain_doc"]
 EXPLAIN_SCHEMA = "repro.explain/1"
 
 
-def _default_technique(scenario: Scenario) -> str:
+def _default_technique(scenario: ScenarioSpec) -> str:
     """CORO when the scenario sweeps it (the paper's headline executor)."""
     for technique in scenario.techniques:
         if technique.lower() == "coro":
@@ -44,7 +50,7 @@ def _default_technique(scenario: Scenario) -> str:
     return scenario.techniques[-1]
 
 
-def _resolve_technique(scenario: Scenario, technique: str | None) -> str:
+def _resolve_technique(scenario: ScenarioSpec, technique: str | None) -> str:
     if technique is None:
         return _default_technique(scenario)
     for candidate in scenario.techniques:
@@ -56,7 +62,7 @@ def _resolve_technique(scenario: Scenario, technique: str | None) -> str:
     )
 
 
-def _resolve_load(scenario: Scenario, load: float | None) -> float:
+def _resolve_load(scenario: ScenarioSpec, load: float | None) -> float:
     if load is None:
         return max(scenario.loads)
     if load not in scenario.loads:
@@ -79,9 +85,9 @@ def explain_point(
     """Explain the p-``q`` exemplar request of one sweep point.
 
     ``scenario`` accepts any reference :func:`repro.scenario.
-    resolve_scenario` does (registry name, ``file:`` path, spec dict or
-    object, built scenario). ``technique`` defaults to CORO (or the
-    scenario's last technique); ``load`` to the scenario's highest
+    resolve_scenario` does (catalogue name, ``file:`` path, spec dict or
+    object). ``technique`` defaults to CORO (or the scenario's last
+    technique); ``load`` to the scenario's highest
     multiplier — the corner where tail latency is interesting. Returns
     the ``repro.explain/1`` document; raises :class:`WorkloadError` for
     names/loads the scenario does not sweep and
@@ -100,32 +106,16 @@ def explain_point(
 
     # Calibrate capacity exactly the way the sweep does, so the traced
     # point replays the same offered load as `serve <scenario>`.
-    from repro.service.loadgen import _arch_for  # shared, deliberately
-
     arch = _arch_for(scenario)
     allocator = AddressSpaceAllocator(page_size=arch.page_size)
     table = make_table(allocator, "serve/dict", scenario.table_bytes)
-    from repro.cluster.scenarios import ClusterScenario
+    measure, n_shards = measure_service_point, scenario.config.n_shards
+    if scenario.kind == "cluster":
+        from repro.cluster.loadgen import measure_cluster_point as measure
 
-    if isinstance(scenario, ClusterScenario):
-        from repro.cluster.loadgen import measure_cluster_point
-
-        capacity, _ = sequential_capacity(
-            table,
-            arch,
-            n_shards=scenario.config.n_shards * scenario.n_nodes,
-            seed=seed,
-        )
-        outcome = measure_cluster_point(
-            scenario, technique, load, seed, faults, capacity, True
-        )
-    else:
-        capacity, _ = sequential_capacity(
-            table, arch, n_shards=scenario.config.n_shards, seed=seed
-        )
-        outcome = measure_service_point(
-            scenario, technique, load, seed, faults, capacity, True
-        )
+        n_shards *= scenario.config.n_nodes
+    capacity, _ = sequential_capacity(table, arch, n_shards=n_shards, seed=seed)
+    outcome = measure(scenario, technique, load, seed, faults, capacity, True)
 
     slo = outcome["slo"]
     exemplar = exemplar_from_dict(slo["hist"], q)
@@ -157,7 +147,7 @@ def explain_point(
         "technique": technique,
         "load_multiplier": load,
         "seed": seed,
-        "fault_profile": _fault_label(faults) if outcome["chaos"] else "none",
+        "fault_profile": _fault_name(faults) if outcome["chaos"] else "none",
         "q": q,
         "point_p99": slo["p99"],
         "point_served": slo["served"],
@@ -168,12 +158,6 @@ def explain_point(
     if control is not None:
         doc["control"] = control
     return doc
-
-
-def _fault_label(faults) -> str:
-    from repro.service.loadgen import _fault_name
-
-    return _fault_name(faults)
 
 
 def render_explain_doc(doc: dict) -> str:

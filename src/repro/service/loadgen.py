@@ -10,7 +10,7 @@ ServiceServer`, and flattens the report into a plain dict — the
 Offered load is calibrated, not guessed: the sweep first measures the
 sequential executor's warm cycles-per-lookup on the scenario's table and
 derives the socket's sequential capacity in requests per kilocycle.
-Scenario load multipliers scale that capacity, so "2.0" saturates the
+Load multipliers scale that capacity, so "2.0" saturates the
 sequential server by construction — which is exactly where the paper's
 robustness claim becomes a serving claim: the interleaved executors'
 knees sit further right, so they are still inside their capacity when
@@ -19,22 +19,26 @@ the sequential curve has already folded.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.config import HASWELL, ArchSpec, scaled
 from repro.control import CONTROL_SCHEMA
-from repro.errors import WorkloadError
+from repro.errors import ConfigurationError
 from repro.faults.schedule import FaultProfile, FaultSchedule, resolve_schedule
 from repro.interleaving.executor import BulkLookup, get_executor
 from repro.obs.rtrace import RequestTracer
 from repro.obs.slo import SLO_SCHEMA
 from repro.perf import Task, default_runner
 from repro.service.arrivals import make_arrivals
-from repro.service.scenarios import Scenario
 from repro.service.server import ServiceReport, ServiceServer
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.sim.engine import ExecutionEngine
 from repro.workloads.generators import make_table
+
+if TYPE_CHECKING:
+    from repro.scenario import ScenarioSpec
 
 __all__ = [
     "SERVICE_SCHEMA",
@@ -56,7 +60,7 @@ SERVICE_SCHEMA = "repro.service/1"
 CHAOS_SCHEMA = "repro.chaos/1"
 
 
-def _arch_for(scenario: Scenario) -> ArchSpec:
+def _arch_for(scenario: ScenarioSpec) -> ArchSpec:
     return HASWELL if scenario.arch_scale == 1 else scaled(scenario.arch_scale)
 
 
@@ -84,8 +88,12 @@ def sequential_capacity(
     return n_shards * 1000.0 / cycles_per_lookup, cycles_per_lookup
 
 
-def _arrival_params(scenario: Scenario, rate_per_kcycle: float) -> dict:
-    """Kind-specific arrival parameters hitting ``rate_per_kcycle``."""
+def _arrival_params(scenario: ScenarioSpec, rate_per_kcycle: float) -> dict:
+    """Kind-specific arrival parameters hitting ``rate_per_kcycle``.
+
+    The spec rejects the parameters set here unconditionally, and
+    requires the ones read here (``think_cycles``).
+    """
     params = dict(scenario.arrival_params)
     if scenario.arrival_kind == "poisson":
         params["rate_per_kcycle"] = rate_per_kcycle
@@ -96,7 +104,7 @@ def _arrival_params(scenario: Scenario, rate_per_kcycle: float) -> dict:
     elif scenario.arrival_kind == "closed":
         # Each client offers ~1000/think requests per kilocycle while
         # un-queued, so the population sets the un-throttled load.
-        think = params.get("think_cycles", 8_000)
+        think = params["think_cycles"]
         params["n_clients"] = max(1, round(rate_per_kcycle * think / 1000.0))
     elif scenario.arrival_kind == "diurnal":
         # The regional weights average to 1 over a day, so the base
@@ -191,7 +199,7 @@ def percentile_of(report: ServiceReport, q: float = 99):
 
 
 def measure_service_point(
-    scenario: Scenario,
+    scenario: ScenarioSpec,
     technique: str,
     multiplier: float,
     seed: int,
@@ -322,10 +330,10 @@ def run_scenario(
     """Run every (technique, load) point; return the data document.
 
     ``scenario`` accepts anything :func:`repro.scenario.resolve_scenario`
-    does — a registry name, a ``file:scenario.yaml`` reference, a spec
-    dict, a :class:`~repro.scenario.ScenarioSpec`, or a built
-    :class:`Scenario` — and funnels it through the validated spec round
-    trip. ``faults`` overrides the scenario's default fault profile (a
+    does — a catalogue name, a ``file:scenario.yaml`` reference, a spec
+    dict, or a :class:`~repro.scenario.ScenarioSpec`; cluster scenarios
+    run through :func:`repro.cluster.loadgen.run_cluster_scenario`.
+    ``faults`` overrides the scenario's default fault profile (a
     profile name, a profile, or a ready-built schedule). A run whose
     schedule resolves to empty — no chaos asked for, or the ``"none"``
     profile — emits a plain ``repro.service/1`` document bit-identical
@@ -336,7 +344,7 @@ def run_scenario(
     depends only on the request count and the offered rate).
     """
     scenario = _resolve_ref(scenario)
-    if _is_cluster(scenario):
+    if scenario.kind == "cluster":
         from repro.cluster.loadgen import run_cluster_scenario
 
         return run_cluster_scenario(scenario, seed=seed, faults=faults)
@@ -363,7 +371,7 @@ def run_traced_scenario(
     :func:`repro.obs.rtrace.request_chrome_trace`.
     """
     scenario = _resolve_ref(scenario)
-    if _is_cluster(scenario):
+    if scenario.kind == "cluster":
         from repro.cluster.loadgen import run_traced_cluster_scenario
 
         return run_traced_cluster_scenario(scenario, seed=seed, faults=faults)
@@ -391,9 +399,8 @@ def run_traced_scenario(
 
 
 def run_slo_scenario(
-    spec=None,
+    spec,
     *,
-    scenario=None,
     seed: int = 0,
     faults: FaultSchedule | FaultProfile | str | None = None,
 ) -> dict:
@@ -403,12 +410,8 @@ def run_slo_scenario(
     the document carries, per (technique, load) point, the exemplar
     latency histogram, the per-lane execution histograms, and the
     multi-window burn analysis of :mod:`repro.obs.slo`. ``spec``
-    accepts any reference :func:`repro.scenario.resolve_scenario` does;
-    the ``scenario=`` keyword remains as a deprecated alias.
+    accepts any reference :func:`repro.scenario.resolve_scenario` does.
     """
-    from repro.errors import ConfigurationError
-
-    spec = _shim_scenario_kwarg(spec, scenario, "run_slo_scenario")
     scenario = _resolve_ref(spec)
     if scenario.config.slo_cycles is None:
         raise ConfigurationError(
@@ -416,7 +419,7 @@ def run_slo_scenario(
         )
     if faults is None:
         faults = scenario.fault_profile
-    if _is_cluster(scenario):
+    if scenario.kind == "cluster":
         from repro.cluster.loadgen import _cluster_sweep as sweep
     else:
         sweep = _sweep
@@ -445,39 +448,11 @@ def _replace_config(config, **changes):
     return dataclasses.replace(config, **changes)
 
 
-def _is_cluster(scenario) -> bool:
-    """Whether the scenario routes over nodes (lazy: no import cycle)."""
-    from repro.cluster.scenarios import ClusterScenario
-
-    return isinstance(scenario, ClusterScenario)
-
-
-def _resolve_ref(ref):
-    """Funnel any scenario reference through the spec surface (lazy)."""
+def _resolve_ref(ref) -> ScenarioSpec:
+    """Any scenario reference as its spec (lazy: no import cycle)."""
     from repro.scenario import resolve_scenario
 
     return resolve_scenario(ref)
-
-
-def _shim_scenario_kwarg(spec, scenario, where: str):
-    """Support the deprecated ``scenario=`` keyword alongside ``spec``."""
-    if scenario is not None:
-        if spec is not None:
-            raise WorkloadError(
-                f"{where}() got both 'spec' and the deprecated 'scenario'"
-            )
-        import warnings
-
-        warnings.warn(
-            f"{where}(scenario=...) is deprecated; pass the reference "
-            "positionally or as spec=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        spec = scenario
-    if spec is None:
-        raise WorkloadError(f"{where}() needs a scenario reference")
-    return spec
 
 
 def render_service_doc(doc: dict) -> str:

@@ -4,17 +4,19 @@ import dataclasses
 
 import pytest
 
+from repro import api
 from repro.cluster.loadgen import (
     CLUSTER_SCHEMA,
     home_nodes,
     run_cluster_scenario,
+    run_traced_cluster_scenario,
     user_keys,
 )
 from repro.cluster.topology import ClusterTopology
 from repro.errors import WorkloadError
 from repro.service.arrivals import make_arrivals
+from repro.scenario import get_scenario
 from repro.service.loadgen import run_scenario
-from repro.service.scenarios import get_scenario
 
 
 def _small(name, **overrides):
@@ -53,7 +55,7 @@ class TestUserKeys:
 class TestHomeNodes:
     def test_diurnal_regions_map_to_region_node_groups(self):
         scenario = _small("planet-quick")
-        topology = ClusterTopology.planet(scenario.n_nodes)
+        topology = ClusterTopology.planet(scenario.config.n_nodes)
         arrivals = make_arrivals(
             "diurnal",
             scenario.n_requests,
@@ -72,7 +74,7 @@ class TestHomeNodes:
 
     def test_geography_free_arrivals_round_robin_the_fleet(self):
         scenario = _small("cluster-steady")
-        topology = ClusterTopology.planet(scenario.n_nodes)
+        topology = ClusterTopology.planet(scenario.config.n_nodes)
         arrivals = make_arrivals(
             "poisson", scenario.n_requests, seed=0, rate_per_kcycle=2.0
         )
@@ -118,5 +120,10 @@ class TestClusterDocuments:
         )
 
     def test_non_cluster_scenario_rejected(self):
-        with pytest.raises(WorkloadError):
-            run_cluster_scenario("quick")
+        for entry_point in (
+            run_cluster_scenario,
+            run_traced_cluster_scenario,
+            api.serve_cluster,
+        ):
+            with pytest.raises(WorkloadError, match="not a cluster scenario"):
+                entry_point("quick")

@@ -28,7 +28,8 @@ from repro.control import (
     ControllerConfig,
 )
 from repro.errors import ConfigurationError
-from repro.service import get_scenario, run_scenario
+from repro.scenario import get_scenario
+from repro.service import run_scenario
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 

@@ -1,10 +1,8 @@
-"""Legacy group-size spellings canonicalize at every plan surface.
+"""Only ``group_size`` names the group width at every plan surface.
 
-``G=`` / ``g=`` / ``group=`` ride through the same
-``canonical_group_size`` funnel the executors use: a deprecation
-warning and the same semantics for a lone alias, ``SchedulerError``
-for conflicts and for unknown kwargs — in the plan builders exactly as
-in ``Executor.run``.
+The old ``G=`` / ``g=`` / ``group=`` spellings are unexpected keywords,
+so a misspelt knob fails with Python's own ``TypeError`` in the plan
+builders and the facade exactly as in ``Executor.run``.
 """
 
 import warnings
@@ -14,7 +12,6 @@ import pytest
 
 from repro.columnstore import EncodedColumn
 from repro.config import HASWELL
-from repro.errors import SchedulerError
 from repro.query import in_predicate_plan
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.sim.engine import ExecutionEngine
@@ -33,24 +30,16 @@ def encode_group(plan):
 
 
 class TestPlanBuilderAliases:
-    def test_lone_alias_warns_and_applies(self, column):
-        with pytest.warns(DeprecationWarning, match="group_size"):
-            plan = in_predicate_plan(
-                column, [1, 2, 3], strategy="interleaved", G=4
-            )
-        assert encode_group(plan) == 4
+    def test_lone_alias_is_a_type_error(self, column):
+        with pytest.raises(TypeError, match="'G'"):
+            in_predicate_plan(column, [1, 2, 3], strategy="interleaved", G=4)
 
     def test_lowercase_and_group_spellings(self, column):
-        with pytest.warns(DeprecationWarning):
-            plan = in_predicate_plan(
-                column, [1, 2], strategy="interleaved", g=3
-            )
-        assert encode_group(plan) == 3
-        with pytest.warns(DeprecationWarning):
-            plan = in_predicate_plan(
-                column, [1, 2], strategy="interleaved", group=5
-            )
-        assert encode_group(plan) == 5
+        for alias in ("g", "group"):
+            with pytest.raises(TypeError, match=f"'{alias}'"):
+                in_predicate_plan(
+                    column, [1, 2], strategy="interleaved", **{alias: 3}
+                )
 
     def test_canonical_spelling_stays_silent(self, column):
         with warnings.catch_warnings():
@@ -61,31 +50,23 @@ class TestPlanBuilderAliases:
         assert encode_group(plan) == 4
 
     def test_conflicting_spellings_rejected(self, column):
-        with pytest.raises(SchedulerError, match="conflicting group sizes"):
+        with pytest.raises(TypeError, match="'G'"):
             in_predicate_plan(column, [1], group_size=2, G=3)
 
-    def test_agreeing_alias_still_warns_but_passes(self, column):
-        with pytest.warns(DeprecationWarning):
-            plan = in_predicate_plan(
-                column, [1, 2], strategy="interleaved", group_size=4, G=4
-            )
-        assert encode_group(plan) == 4
-
     def test_unknown_kwarg_rejected(self, column):
-        with pytest.raises(SchedulerError, match="unknown executor kwargs"):
+        with pytest.raises(TypeError, match="'chunk'"):
             in_predicate_plan(column, [1], chunk=7)
 
 
 class TestApiRunPlanAliases:
-    def test_alias_reaches_the_probe(self, column):
+    def test_alias_is_a_type_error(self, column):
         from repro.api import run_plan
 
-        with pytest.warns(DeprecationWarning):
-            result = run_plan(column, [1, 2, 3], strategy="interleaved", G=4)
-        assert result.group_size == 4
+        with pytest.raises(TypeError, match="'G'"):
+            run_plan(column, [1, 2, 3], strategy="interleaved", G=4)
 
     def test_conflict_rejected(self, column):
         from repro.api import run_plan
 
-        with pytest.raises(SchedulerError, match="conflicting group sizes"):
+        with pytest.raises(TypeError, match="'group'"):
             run_plan(column, [1], group_size=2, group=6)

@@ -168,11 +168,9 @@ class TestIndexJoin:
         assert result.value == []
         assert result.profile("join").batches == 0
 
-    def test_group_alias_spelling_accepted(self, table, engine):
-        with pytest.warns(DeprecationWarning):
-            plan = join_plan(table, lookup_values(8, table, seed=3), G=2)
-        result = plan.execute(engine)
-        assert result.profile("join").attrs["group_size"] == 2
+    def test_group_alias_spelling_rejected(self, table):
+        with pytest.raises(TypeError, match="'G'"):
+            join_plan(table, lookup_values(8, table, seed=3), G=2)
 
 
 class TestDictionaryFallback:

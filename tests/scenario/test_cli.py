@@ -9,15 +9,15 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.scenario import ScenarioSpec
-from repro.service.scenarios import SCENARIO_REGISTRY, get_scenario
+from repro.scenario import SCENARIO_REGISTRY, get_scenario
 
 
 @pytest.fixture()
 def quick_spec_file(tmp_path):
     path = tmp_path / "quick.json"
-    spec = ScenarioSpec.from_scenario(get_scenario("quick"))
-    path.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
+    path.write_text(
+        json.dumps(get_scenario("quick").to_dict(), indent=2, sort_keys=True)
+    )
     return path
 
 
@@ -36,6 +36,25 @@ def malformed_spec_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def bad_arrival_spec_file(tmp_path):
+    """A bursty spec with the typo ``burst_cycle``."""
+    path = tmp_path / "typo.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schema": "repro.scenario/1",
+                "name": "typo",
+                "arrival": {
+                    "kind": "bursty",
+                    "params": {"burst_cycle": 20_000, "gap_cycles": 30_000},
+                },
+            }
+        )
+    )
+    return path
+
+
 class TestListJson:
     def test_emits_every_registered_scenario_as_its_spec(self, capsys):
         assert main(["list", "--json"]) == 0
@@ -44,14 +63,12 @@ class TestListJson:
         by_name = {record["name"]: record for record in doc["scenarios"]}
         assert set(by_name) == set(SCENARIO_REGISTRY)
         for name, scenario in SCENARIO_REGISTRY.items():
-            expected = ScenarioSpec.from_scenario(scenario).to_dict()
-            assert by_name[name] == expected
+            assert by_name[name] == scenario.to_dict()
 
     def test_registry_name_ref_prints_its_spec(self, capsys):
         assert main(["list", "quick"]) == 0
         record = json.loads(capsys.readouterr().out)
-        expected = ScenarioSpec.from_scenario(get_scenario("quick")).to_dict()
-        assert record == expected
+        assert record == get_scenario("quick").to_dict()
 
     def test_file_ref_resolves(self, capsys, quick_spec_file):
         assert main(["list", f"file:{quick_spec_file}", "--json"]) == 0
@@ -119,3 +136,11 @@ class TestExplainFileRefs:
     ):
         assert main(["explain", f"file:{malformed_spec_file}"]) == 2
         assert "config.max_bacth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["list", "serve", "explain"])
+def test_bad_arrival_param_exits_2_with_field_path(
+    verb, capsys, bad_arrival_spec_file
+):
+    assert main([verb, f"file:{bad_arrival_spec_file}"]) == 2
+    assert "arrival.params.burst_cycle" in capsys.readouterr().err

@@ -2,15 +2,15 @@
 
 The two load-bearing invariants:
 
-* **byte round-trip** — every registry scenario serialises through
-  ``ScenarioSpec`` and back without changing a byte, which is what lets
-  every serving entry point route through the spec surface with zero
-  output drift;
+* **round trip** — every catalogue scenario survives ``to_dict`` and
+  ``from_dict`` as an equal spec and as the same bytes, so ``list
+  <name>`` prints the whole scenario;
 * **strict validation** — unknown keys and out-of-range values raise
   :class:`SpecError` carrying the offending field's dotted path, never
-  a silently-defaulted run.
+  a silently-defaulted run, whether a spec is parsed or constructed.
 """
 
+import dataclasses
 import json
 import pathlib
 import warnings
@@ -18,17 +18,19 @@ import warnings
 import pytest
 
 from repro import api
-from repro.cluster.scenarios import ClusterScenario
-from repro.errors import SpecError, WorkloadError
+from repro.cluster.server import ClusterConfig
+from repro.errors import SpecError
 from repro.scenario import (
+    SCENARIO_REGISTRY,
     ScenarioSpec,
+    get_scenario,
     load_spec_file,
     parse_spec_text,
     resolve_scenario,
-    resolve_spec,
 )
+from repro.scenario.spec import _ARRIVAL_PARAMS
+from repro.service.arrivals import ARRIVAL_KINDS
 from repro.service.loadgen import run_slo_scenario
-from repro.service.scenarios import SCENARIO_REGISTRY, Scenario, get_scenario
 
 try:
     import yaml
@@ -48,10 +50,9 @@ class TestRegistryRoundTrip:
         "scenario", _all_registry_scenarios(), ids=lambda s: s.name
     )
     def test_byte_identical_dict_round_trip(self, scenario):
-        spec = ScenarioSpec.from_scenario(scenario)
-        first = json.dumps(spec.to_dict(), sort_keys=True)
+        first = json.dumps(scenario.to_dict(), sort_keys=True)
         second = json.dumps(
-            ScenarioSpec.from_dict(spec.to_dict()).to_dict(), sort_keys=True
+            ScenarioSpec.from_dict(scenario.to_dict()).to_dict(), sort_keys=True
         )
         assert first == second
 
@@ -59,21 +60,19 @@ class TestRegistryRoundTrip:
         "scenario", _all_registry_scenarios(), ids=lambda s: s.name
     )
     def test_reconstructs_an_equal_scenario(self, scenario):
-        rebuilt = ScenarioSpec.from_scenario(scenario).to_scenario()
-        assert type(rebuilt) is type(scenario)
-        assert rebuilt == scenario
+        assert ScenarioSpec.from_dict(scenario.to_dict()) == scenario
 
     def test_resolve_by_name_equals_registry_entry(self):
         assert resolve_scenario("quick") == get_scenario("quick")
 
     def test_cluster_spec_kind(self):
-        spec = ScenarioSpec.from_scenario(get_scenario("planet-quick"))
+        spec = get_scenario("planet-quick")
         assert spec.kind == "cluster"
         assert "interconnect" in spec.to_dict()
-        assert isinstance(spec.to_scenario(), ClusterScenario)
+        assert isinstance(spec.config, ClusterConfig)
 
     def test_service_spec_omits_cluster_keys(self):
-        record = ScenarioSpec.from_scenario(get_scenario("quick")).to_dict()
+        record = get_scenario("quick").to_dict()
         assert "interconnect" not in record
         assert "n_users" not in record
 
@@ -153,6 +152,102 @@ class TestStrictValidation:
             ScenarioSpec.from_dict(self._minimal(techniques=["warpdrive"]))
 
 
+class TestConstruction:
+    """Literals and ``dataclasses.replace`` copies are checked like
+    parsed documents, with the same dotted paths."""
+
+    def test_replace_is_validated(self):
+        quick = get_scenario("quick")
+        with pytest.raises(SpecError, match=r"^techniques\[1\]: "):
+            dataclasses.replace(quick, techniques=("CORO", "warpdrive"))
+        with pytest.raises(SpecError, match=r"^loads\[0\]: "):
+            dataclasses.replace(quick, loads=(0.0,))
+        with pytest.raises(SpecError, match=r"^n_requests: "):
+            dataclasses.replace(quick, n_requests=0)
+
+    def test_controller_technique_has_indexed_path(self):
+        controller = get_scenario("controller-quick").config.controller
+        config = dataclasses.replace(
+            get_scenario("quick").config,
+            controller=dataclasses.replace(controller, techniques=("bogus",)),
+        )
+        with pytest.raises(
+            SpecError, match=r"^config\.controller\.techniques\[0\]: "
+        ):
+            ScenarioSpec(name="t", config=config)
+
+    def test_config_type_follows_the_kind(self):
+        with pytest.raises(SpecError, match="^config: .*ClusterConfig"):
+            ScenarioSpec(name="t", kind="cluster")
+        with pytest.raises(SpecError, match="^config: .*ServiceConfig"):
+            ScenarioSpec(name="t", config=get_scenario("planet-quick").config)
+
+    def test_cluster_only_values_rejected_for_service_kind(self):
+        with pytest.raises(SpecError, match="^n_users: "):
+            ScenarioSpec(name="t", n_users=5)
+
+
+class TestArrivalParams:
+    def _bursty(self, params):
+        record = {
+            "schema": "repro.scenario/1",
+            "name": "t",
+            "arrival": {"kind": "bursty"},
+        }
+        if params is not None:
+            record["arrival"]["params"] = params
+        return record
+
+    def test_every_arrival_kind_has_rules(self):
+        assert set(_ARRIVAL_PARAMS) == set(ARRIVAL_KINDS)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(
+            SpecError, match=r"^arrival\.params\.burst_cycle: unknown"
+        ):
+            ScenarioSpec.from_dict(
+                self._bursty({"burst_cycle": 20_000, "gap_cycles": 30_000})
+            )
+
+    @pytest.mark.parametrize("params", [None, {}, {"gap_cycles": 30_000}])
+    def test_missing_required_key_rejected(self, params):
+        with pytest.raises(
+            SpecError, match=r"^arrival\.params\.burst_cycles: required"
+        ):
+            ScenarioSpec.from_dict(self._bursty(params))
+
+    def test_closed_needs_think_cycles(self):
+        with pytest.raises(SpecError, match=r"arrival\.params\.think_cycles"):
+            ScenarioSpec(name="t", arrival_kind="closed")
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("poisson", {"rate_per_kcycle": 2.0}),
+            ("closed", {"think_cycles": 8_000, "n_clients": 4}),
+            ("diurnal", {"base_rate_per_kcycle": 2.0}),
+        ],
+    )
+    def test_calibrated_keys_rejected(self, kind, params):
+        (key,) = set(params) - {"think_cycles"}
+        with pytest.raises(
+            SpecError, match=rf"^arrival\.params\.{key}: set per load point"
+        ):
+            ScenarioSpec(name="t", arrival_kind=kind, arrival_params=params)
+
+    def test_optional_keys_accepted(self):
+        spec = ScenarioSpec.from_dict(
+            self._bursty(
+                {
+                    "burst_cycles": 20_000,
+                    "gap_cycles": 30_000,
+                    "burst_rate_per_kcycle": 3.0,
+                }
+            )
+        )
+        assert spec.arrival_params["burst_rate_per_kcycle"] == 3.0
+
+
 class TestParsing:
     def test_json_text(self):
         spec = parse_spec_text(
@@ -198,9 +293,9 @@ class TestParsing:
         )
         assert resolve_scenario(f"file:{path}").name == "from-file"
 
-    def test_resolve_spec_rejects_garbage(self):
+    def test_resolve_scenario_rejects_garbage(self):
         with pytest.raises(SpecError, match="reference"):
-            resolve_spec(42)
+            resolve_scenario(42)
 
 
 class TestShippedSpecs:
@@ -230,34 +325,26 @@ class TestShippedSpecs:
 
 
 class TestDeprecatedScenarioKeyword:
+    """The ``scenario=`` keyword is gone: the reference is positional."""
+
     def test_run_slo_scenario_requires_a_reference(self):
-        with pytest.raises(WorkloadError, match="needs a scenario"):
+        with pytest.raises(TypeError, match="spec"):
             run_slo_scenario()
 
     def test_both_spec_and_scenario_rejected(self):
-        with pytest.raises(WorkloadError, match="deprecated"):
+        with pytest.raises(TypeError, match="scenario"):
             run_slo_scenario("quick", scenario="quick")
 
-    def test_api_serve_scenario_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="serve"):
-            result = api.serve(scenario="quick")
-        assert result.doc["scenario"] == "quick"
+    def test_run_slo_scenario_kwarg_is_a_type_error(self):
+        with pytest.raises(TypeError, match="scenario"):
+            run_slo_scenario(scenario="chaos-quick")
 
-    def test_run_slo_scenario_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_slo_scenario"):
-            doc = run_slo_scenario(scenario="chaos-quick")
-        assert doc["schema"] == "repro.slo/1"
+    def test_api_serve_scenario_kwarg_is_a_type_error(self):
+        for verb in (api.serve, api.serve_cluster):
+            with pytest.raises(TypeError, match="scenario"):
+                verb(scenario="quick")
 
     def test_positional_reference_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             api.serve("quick")
-
-
-class TestSubclassPassThrough:
-    def test_unknown_scenario_subclass_is_not_flattened(self):
-        class Custom(Scenario):
-            pass
-
-        custom = Custom(name="custom", description="", loads=(0.5,))
-        assert resolve_scenario(custom) is custom

@@ -1,18 +1,18 @@
-"""Tests for the scenario registry and the ``serve``/``list`` CLI."""
+"""Tests for the scenario catalogue and the ``serve``/``list`` CLI."""
 
 import json
 
 import pytest
 
 from repro.__main__ import main
-from repro.errors import ConfigurationError, WorkloadError
-from repro.service.scenarios import (
+from repro.errors import SpecError, WorkloadError
+from repro.scenario import (
     SCENARIO_REGISTRY,
-    Scenario,
+    ScenarioSpec,
     get_scenario,
-    register_scenario,
     scenario_names,
 )
+from repro.scenario.catalogue import _CATALOGUE
 
 
 class TestRegistry:
@@ -28,17 +28,17 @@ class TestRegistry:
         with pytest.raises(WorkloadError, match="quick"):
             get_scenario("nope")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            register_scenario(SCENARIO_REGISTRY["quick"])
+    def test_catalogue_names_are_unique(self):
+        # A repeated name would silently shadow an earlier entry.
+        assert len(SCENARIO_REGISTRY) == len(_CATALOGUE)
 
     def test_scenario_validation(self):
-        with pytest.raises(ConfigurationError, match="arrival kind"):
-            Scenario(name="x", description="", arrival_kind="uniform")
-        with pytest.raises(ConfigurationError, match="loads"):
-            Scenario(name="x", description="", loads=(0.0,))
-        with pytest.raises(ConfigurationError, match="techniques"):
-            Scenario(name="x", description="", techniques=())
+        with pytest.raises(SpecError, match="arrival kind"):
+            ScenarioSpec(name="x", arrival_kind="uniform")
+        with pytest.raises(SpecError, match="loads"):
+            ScenarioSpec(name="x", loads=(0.0,))
+        with pytest.raises(SpecError, match="techniques"):
+            ScenarioSpec(name="x", techniques=())
 
 
 class TestListVerb:

@@ -206,7 +206,7 @@ class TestPlanRequests:
             ServiceConfig(request_kind="rpc")
 
     def test_plans_scenario_registered(self):
-        from repro.service.scenarios import get_scenario
+        from repro.scenario import get_scenario
 
         scenario = get_scenario("plans")
         assert scenario.config.request_kind == "plan"

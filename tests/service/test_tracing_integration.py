@@ -16,12 +16,12 @@ import pytest
 from repro.errors import WorkloadError
 from repro.obs.rtrace import trace_errors
 from repro.service.explain import explain_point
+from repro.scenario import ScenarioSpec, get_scenario
 from repro.service.loadgen import run_scenario, run_traced_scenario
-from repro.service.scenarios import Scenario, get_scenario
 
 #: A third lifecycle mix on top of quick/chaos-quick: bursty arrivals
 #: into a shed-policy server, so shed/overflow traces appear at scale.
-BURSTY_SHED = Scenario(
+BURSTY_SHED = ScenarioSpec(
     name="bursty-shed-test",
     description="bursty arrivals over a shedding admission controller",
     arrival_kind="bursty",

@@ -1,17 +1,16 @@
 """Tests for the ``repro.api`` facade, the package-root re-exports, the
-deprecation shims, and the CLI's exit-code contract."""
+executor keyword surface, and the CLI's exit-code contract."""
 
 import importlib.util
 import json
 import pathlib
-import warnings
 
 import pytest
 
 import repro
 from repro import api, scaled
 from repro.__main__ import main
-from repro.errors import ConfigurationError, PerfError, SchedulerError, WorkloadError
+from repro.errors import ConfigurationError, PerfError, WorkloadError
 from repro.interleaving.executor import BulkLookup, get_executor
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.sim.engine import ExecutionEngine
@@ -181,16 +180,7 @@ class TestFacadeExports:
 
     def test_every_all_name_resolves(self):
         for name in repro.__all__:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert getattr(repro, name) is not None
-
-    def test_deep_import_shim_warns_but_works(self):
-        with pytest.deprecated_call(match="repro.api.serve"):
-            legacy = repro.run_scenario
-        from repro.service import run_scenario
-
-        assert legacy is run_scenario
+            assert getattr(repro, name) is not None
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -205,30 +195,22 @@ class TestExecutorKwargAliases:
         values = lookup_values(n, table, seed=1)
         return BulkLookup.sorted_array(table, values), table
 
-    def test_legacy_G_kwarg_warns_and_applies(self):
+    @pytest.mark.parametrize("alias", ["G", "g", "group"])
+    def test_legacy_G_kwarg_is_a_type_error(self, alias):
         tasks, _ = self.make()
-        with pytest.deprecated_call(match="group_size"):
-            legacy = get_executor("CORO").run(
-                tasks, ExecutionEngine(ARCH), G=4
-            )
-        tasks2, _ = self.make()
-        modern = get_executor("CORO").run(
-            tasks2, ExecutionEngine(ARCH), group_size=4
-        )
-        assert list(legacy) == list(modern)
+        with pytest.raises(TypeError, match=f"'{alias}'"):
+            get_executor("CORO").run(tasks, ExecutionEngine(ARCH), **{alias: 4})
 
     def test_conflicting_spellings_rejected(self):
         tasks, _ = self.make()
-        with pytest.raises(SchedulerError, match="group_size"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                get_executor("CORO").run(
-                    tasks, ExecutionEngine(ARCH), group_size=4, G=8
-                )
+        with pytest.raises(TypeError, match="'G'"):
+            get_executor("CORO").run(
+                tasks, ExecutionEngine(ARCH), group_size=4, G=8
+            )
 
     def test_unknown_kwarg_rejected(self):
         tasks, _ = self.make()
-        with pytest.raises(SchedulerError, match="unknown executor kwargs"):
+        with pytest.raises(TypeError, match="'gruop_size'"):
             get_executor("CORO").run(tasks, ExecutionEngine(ARCH), gruop_size=4)
 
 
