@@ -4,14 +4,16 @@
 ``benchmarks/e2e`` checks the documents of fig3a, fig7, fig8, table1,
 table2 and eight serving scenarios against golden digests. This script
 covers the rest of what the CLI emits at quick scale and seed 0: the
-fig1, fig3b, fig5 and fig6 experiments, and ``serve`` of steady, quick,
+fig1, fig3b, fig5 and fig6 experiments, ``serve`` of steady, quick,
 chaos-quick, planet-quick, cluster-steady and every file under
-``scenarios/``. Each document is hashed the way the harness hashes it
-(sha256 of its canonical JSON: ``sort_keys``, no whitespace) and
-compared with ``tests/data/document_digests.json``::
+``scenarios/``, and the ``explain`` and ``repro.slo/1`` documents of
+quick, chaos-quick, planet-quick and cluster-steady. Each document is
+hashed the way the harness hashes it (sha256 of its canonical JSON:
+``sort_keys``, no whitespace) and compared with
+``tests/data/document_digests.json``::
 
     PYTHONPATH=src python benchmarks/check_doc_digests.py             # check all
-    PYTHONPATH=src python benchmarks/check_doc_digests.py fig1 serve:quick
+    PYTHONPATH=src python benchmarks/check_doc_digests.py fig1 serve:quick slo:quick
     PYTHONPATH=src python benchmarks/check_doc_digests.py --record    # rewrite
 
 The goldens are quick-scale documents, so the script pins
@@ -34,10 +36,17 @@ GOLDEN = ROOT / "tests" / "data" / "document_digests.json"
 
 EXPERIMENTS = ("fig1", "fig3b", "fig5", "fig6")
 SCENARIOS = ("steady", "quick", "chaos-quick", "planet-quick", "cluster-steady")
+#: Scenarios whose ``explain`` and ``repro.slo/1`` documents are checked:
+#: one of each serving document shape (plain, chaos, cluster with and
+#: without faults).
+SHAPES = ("quick", "chaos-quick", "planet-quick", "cluster-steady")
 
 
 def documents() -> list[str]:
-    """Every checked document, as ``experiment:<name>`` or ``serve:<spec>``."""
+    """Every checked document, as ``<verb>:<target>``.
+
+    The verbs are ``experiment``, ``serve``, ``explain`` and ``slo``.
+    """
     files = sorted(
         f"file:scenarios/{path.name}"
         for path in (ROOT / "scenarios").iterdir()
@@ -46,6 +55,8 @@ def documents() -> list[str]:
     return [
         *(f"experiment:{name}" for name in EXPERIMENTS),
         *(f"serve:{spec}" for spec in (*SCENARIOS, *files)),
+        *(f"explain:{name}" for name in SHAPES),
+        *(f"slo:{name}" for name in SHAPES),
     ]
 
 
@@ -62,6 +73,12 @@ def produce(document: str) -> dict:
     verb, _, target = document.partition(":")
     if verb == "experiment":
         return api.run_experiment(target, jobs=1).doc
+    if verb == "explain":
+        return api.explain(target, seed=0).doc
+    if verb == "slo":
+        from repro.service.loadgen import run_slo_scenario
+
+        return run_slo_scenario(target, seed=0)
     return api.serve(target, seed=0, jobs=1).doc
 
 
@@ -70,7 +87,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "documents",
         nargs="*",
-        help="subset to check: experiment names or serve:<spec> (default: all)",
+        help=(
+            "subset to check: experiment names, or serve:/explain:/slo: "
+            "followed by a scenario (default: all)"
+        ),
     )
     parser.add_argument(
         "--record", action="store_true", help="rewrite the golden digests"

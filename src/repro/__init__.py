@@ -150,7 +150,6 @@ _EXPORTS = {
     ),
     "repro.sim": ("AddressSpaceAllocator", "ExecutionEngine", "MemorySystem"),
     "repro.api": (
-        "ClusterServeResult",
         "ExperimentResult",
         "ExplainResult",
         "FaultInjectionResult",
@@ -163,7 +162,6 @@ _EXPORTS = {
         "run_experiment",
         "run_plan",
         "serve",
-        "serve_cluster",
     ),
     "repro.faults": (
         "FAULT_KINDS",

@@ -35,14 +35,12 @@ from repro.errors import PerfError, WorkloadError
 __all__ = [
     "ExperimentResult",
     "ServeResult",
-    "ClusterServeResult",
     "ExplainResult",
     "LookupResult",
     "PlanRunResult",
     "FaultInjectionResult",
     "run_experiment",
     "serve",
-    "serve_cluster",
     "explain",
     "lookup_batch",
     "run_plan",
@@ -73,10 +71,11 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class ServeResult:
-    """One serving sweep: the service/chaos data document, typed."""
+    """One serving sweep: the service/chaos/cluster data document, typed."""
 
     scenario: str
     #: ``repro.service/1``; ``repro.chaos/1`` when faults were live;
+    #: ``repro.cluster/1`` for a ``kind: cluster`` scenario;
     #: ``repro.control/1`` when the adaptive controller ran (the
     #: underlying shape is then named by ``doc["base_schema"]``).
     schema: str
@@ -90,9 +89,7 @@ class ServeResult:
     @property
     def chaos(self) -> bool:
         """Whether a non-empty fault schedule shaped this run."""
-        from repro.service.loadgen import CHAOS_SCHEMA
-
-        return CHAOS_SCHEMA in (self.schema, self.doc.get("base_schema"))
+        return "fault_profile" in self.doc
 
     def point(self, technique: str, load_multiplier: float) -> dict:
         """The record for one (technique, load) pair."""
@@ -112,28 +109,6 @@ class ServeResult:
         from repro.service.loadgen import render_service_doc
 
         return render_service_doc(self.doc)
-
-
-@dataclass(frozen=True)
-class ClusterServeResult(ServeResult):
-    """One cluster sweep: the ``repro.cluster/1`` document, typed."""
-
-    @property
-    def chaos(self) -> bool:
-        """Whether a non-empty fault schedule shaped this run."""
-        return "fault_profile" in self.doc
-
-    @property
-    def n_nodes(self) -> int:
-        return self.doc["n_nodes"]
-
-    @property
-    def replication(self) -> int:
-        return self.doc["replication"]
-
-    def node_batches(self, technique: str, load_multiplier: float) -> dict:
-        """Per-node batch counts of one (technique, load) point."""
-        return self.point(technique, load_multiplier)["node_batches"]
 
 
 @dataclass(frozen=True)
@@ -338,8 +313,11 @@ def serve(
     ``spec`` accepts any scenario reference — a catalogue name, a
     ``file:scenario.yaml`` path, a ``repro.scenario/1`` dict, or a
     :class:`~repro.scenario.ScenarioSpec` — and resolves it via
-    :func:`repro.scenario.resolve_scenario`. ``faults`` accepts a
-    profile name (``"chaos"``), a
+    :func:`repro.scenario.resolve_scenario`; a ``kind: cluster`` spec
+    (``planet``, ``planet-quick``, ``cluster-steady``, or one of your
+    own) yields its ``repro.cluster/1`` document, with the per-node
+    counters in each point. ``faults`` accepts a profile name
+    (``"chaos"``), a
     :class:`~repro.faults.schedule.FaultProfile`, or a ready-built
     :class:`~repro.faults.schedule.FaultSchedule`; ``None`` defers to
     the scenario's own default profile (no chaos for most scenarios).
@@ -350,35 +328,7 @@ def serve(
 
     with _perf_scope(jobs, cache):
         doc = run_scenario(spec, seed=seed, faults=faults)
-    cls = ClusterServeResult if doc.get("kind") == "cluster" else ServeResult
-    return cls(scenario=doc["scenario"], schema=doc["schema"], doc=doc)
-
-
-def serve_cluster(
-    spec,
-    *,
-    seed: int = 0,
-    faults=None,
-    jobs: int | None = None,
-    cache=None,
-) -> ClusterServeResult:
-    """Run one multi-node cluster sweep (``repro.cluster/1``).
-
-    Like :func:`serve` (including the spec-reference surface), but
-    insists the scenario is of ``kind: cluster`` (``planet``,
-    ``planet-quick``, ``cluster-steady``, or a spec of your own) and
-    returns the cluster-typed result with per-node accessors.
-    :func:`serve` also accepts cluster scenarios and returns the same
-    result type; this verb exists so callers who *require* routing get
-    a loud error instead of a silently single-node run.
-    """
-    from repro.cluster.loadgen import run_cluster_scenario
-
-    with _perf_scope(jobs, cache):
-        doc = run_cluster_scenario(spec, seed=seed, faults=faults)
-    return ClusterServeResult(
-        scenario=doc["scenario"], schema=doc["schema"], doc=doc
-    )
+    return ServeResult(scenario=doc["scenario"], schema=doc["schema"], doc=doc)
 
 
 def explain(

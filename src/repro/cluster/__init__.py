@@ -18,20 +18,15 @@ scales that machine out without changing its physics:
   replication 1, and zero interconnect cost it is bit-identical to the
   single-node server per same-seed run — the degenerate-identity
   contract the tests pin.
-- :mod:`repro.cluster.loadgen` — the sweep that serves ``kind:
-  cluster`` scenarios (the ``planet`` family in
-  :mod:`repro.scenario.catalogue`: millions of simulated users on
-  diurnal, region-rotating arrivals) and emits ``repro.cluster/1``
-  documents.
+- :mod:`repro.cluster.loadgen` — what a ``kind: cluster`` scenario
+  (the ``planet`` family in :mod:`repro.scenario.catalogue`: millions
+  of simulated users on diurnal, region-rotating arrivals) adds to the
+  serving sweep: user-population probe keys, home nodes, the topology
+  lookup, and the rendering of ``repro.cluster/1`` documents. The sweep
+  itself is :func:`repro.service.loadgen.run_scenario`, for both kinds.
 """
 
-from repro.cluster.loadgen import (
-    CLUSTER_SCHEMA,
-    measure_cluster_point,
-    render_cluster_doc,
-    run_cluster_scenario,
-    run_traced_cluster_scenario,
-)
+from repro.cluster.loadgen import CLUSTER_SCHEMA, render_cluster_doc
 from repro.cluster.routing import ClusterRouter, HashRing
 from repro.cluster.server import ClusterConfig, ClusterReport, ClusterServer
 from repro.cluster.topology import (
@@ -54,8 +49,5 @@ __all__ = [
     "ClusterTopology",
     "HashRing",
     "InterconnectCosts",
-    "measure_cluster_point",
     "render_cluster_doc",
-    "run_cluster_scenario",
-    "run_traced_cluster_scenario",
 ]

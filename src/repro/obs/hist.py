@@ -6,9 +6,8 @@ layers:
 * :func:`nearest_rank` — **the** nearest-rank percentile. The service
   report, the load generator, and the chaos benchmark all need exact
   percentiles over a sorted latency list; they used to each hand-roll
-  the ceil-rank arithmetic. This is now the single implementation
-  (``repro.service.server.percentile`` delegates here), pinned by
-  ``tests/obs/test_hist.py`` to produce bit-identical results.
+  the ceil-rank arithmetic. This is now the single implementation,
+  pinned by ``tests/obs/test_hist.py``.
 * :class:`ExemplarHistogram` — a histogram over *fixed* log-scale
   buckets (quarter-octave: four buckets per power of two) where every
   bucket additionally retains an **exemplar**: the id of the *worst*

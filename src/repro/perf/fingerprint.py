@@ -34,7 +34,7 @@ FINGERPRINT_PATHS = (
     "query",
     "service",
     "faults",
-    # measure_cluster_point drives the cluster server, the adaptive
+    # measure_service_point drives the cluster server, the adaptive
     # controller and scenario specs.
     "cluster",
     "control",

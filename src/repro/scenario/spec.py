@@ -36,6 +36,7 @@ from repro.control import ControllerConfig
 from repro.errors import ConfigurationError, SpecError, WorkloadError
 from repro.faults.schedule import get_fault_profile
 from repro.interleaving.executor import get_executor
+from repro.service.arrivals import check_arrival_params
 from repro.service.server import ServiceConfig
 
 __all__ = [
@@ -285,6 +286,10 @@ def _check_arrival(kind: str, params: dict) -> None:
             raise SpecError(
                 f"unknown {kind} arrival parameter (have: {known})", path=path
             )
+        try:
+            check_arrival_params(**{key: params[key]})
+        except WorkloadError as error:
+            raise SpecError(str(error), path=path) from error
     for key in required:
         if key not in params:
             raise SpecError(
@@ -345,6 +350,7 @@ class ScenarioSpec:
                 )
         for index, name in enumerate(self.techniques):
             _check_technique(name, f"techniques[{index}]")
+        _check_technique(self.config.technique, "config.technique")
         controller = self.config.controller
         for index, name in enumerate(controller.techniques if controller else ()):
             _check_technique(name, f"config.controller.techniques[{index}]")

@@ -52,7 +52,6 @@ from repro.service.server import (
     ServiceConfig,
     ServiceReport,
     ServiceServer,
-    percentile,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "explain_point",
     "fault_horizon",
     "make_arrivals",
-    "percentile",
     "render_explain_doc",
     "render_service_doc",
     "run_scenario",

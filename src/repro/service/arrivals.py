@@ -39,6 +39,7 @@ __all__ = [
     "BurstyArrivals",
     "ClosedLoopArrivals",
     "DiurnalArrivals",
+    "check_arrival_params",
     "make_arrivals",
 ]
 
@@ -106,9 +107,39 @@ class _OpenLoop(ArrivalProcess):
         return cycle
 
 
-def _check_rate(rate: float, name: str) -> None:
-    if rate <= 0:
-        raise WorkloadError(f"{name} must be positive, not {rate!r}")
+def _positive(value) -> bool:
+    return value > 0
+
+
+#: Valid range of every arrival parameter: (test, what it must be).
+_PARAM_RANGES = {
+    "rate_per_kcycle": (_positive, "positive"),
+    "base_rate_per_kcycle": (_positive, "positive"),
+    "burst_rate_per_kcycle": (_positive, "positive"),
+    "burst_cycles": (_positive, "a phase of at least one cycle"),
+    "gap_cycles": (_positive, "a phase of at least one cycle"),
+    "n_regions": (
+        lambda value: isinstance(value, int) and value >= 1,
+        "a whole number of regions, at least one",
+    ),
+    "day_cycles": (_positive, "at least one cycle"),
+    "amplitude": (lambda value: 0.0 <= value <= 1.0, "in [0, 1]"),
+    "n_clients": (_positive, "at least one client"),
+    "think_cycles": (_positive, "positive"),
+}
+
+
+def check_arrival_params(**params) -> None:
+    """Raise :class:`WorkloadError` for the first parameter out of range.
+
+    The one range check of arrival parameters: every process runs it on
+    construction, and :class:`~repro.scenario.ScenarioSpec` runs it on
+    the parameters a spec sets, before any sweep starts.
+    """
+    for name, value in params.items():
+        valid, expected = _PARAM_RANGES[name]
+        if not valid(value):
+            raise WorkloadError(f"{name} must be {expected}, not {value!r}")
 
 
 class PoissonArrivals(_OpenLoop):
@@ -117,7 +148,7 @@ class PoissonArrivals(_OpenLoop):
     kind = "poisson"
 
     def __init__(self, rate_per_kcycle: float, n_requests: int, seed: int) -> None:
-        _check_rate(rate_per_kcycle, "rate_per_kcycle")
+        check_arrival_params(rate_per_kcycle=rate_per_kcycle)
         self.rate_per_kcycle = rate_per_kcycle
         super().__init__(n_requests, seed)
 
@@ -153,10 +184,12 @@ class BurstyArrivals(_OpenLoop):
         n_requests: int,
         seed: int,
     ) -> None:
-        _check_rate(base_rate_per_kcycle, "base_rate_per_kcycle")
-        _check_rate(burst_rate_per_kcycle, "burst_rate_per_kcycle")
-        if burst_cycles <= 0 or gap_cycles <= 0:
-            raise WorkloadError("burst and gap phases must span at least one cycle")
+        check_arrival_params(
+            base_rate_per_kcycle=base_rate_per_kcycle,
+            burst_rate_per_kcycle=burst_rate_per_kcycle,
+            burst_cycles=burst_cycles,
+            gap_cycles=gap_cycles,
+        )
         self.base_rate_per_kcycle = base_rate_per_kcycle
         self.burst_rate_per_kcycle = burst_rate_per_kcycle
         self.burst_cycles = burst_cycles
@@ -205,13 +238,12 @@ class DiurnalArrivals(_OpenLoop):
         day_cycles: int = 200_000,
         amplitude: float = 0.8,
     ) -> None:
-        _check_rate(base_rate_per_kcycle, "base_rate_per_kcycle")
-        if n_regions < 1:
-            raise WorkloadError("diurnal arrivals need at least one region")
-        if day_cycles <= 0:
-            raise WorkloadError("day_cycles must span at least one cycle")
-        if not 0.0 <= amplitude <= 1.0:
-            raise WorkloadError(f"amplitude must be in [0, 1], not {amplitude!r}")
+        check_arrival_params(
+            base_rate_per_kcycle=base_rate_per_kcycle,
+            n_regions=n_regions,
+            day_cycles=day_cycles,
+            amplitude=amplitude,
+        )
         self.base_rate_per_kcycle = base_rate_per_kcycle
         self.n_regions = n_regions
         self.day_cycles = day_cycles
@@ -276,10 +308,7 @@ class ClosedLoopArrivals(ArrivalProcess):
         n_requests: int,
         seed: int,
     ) -> None:
-        if n_clients <= 0:
-            raise WorkloadError("closed loop needs at least one client")
-        if think_cycles <= 0:
-            raise WorkloadError("think time must be positive")
+        check_arrival_params(n_clients=n_clients, think_cycles=think_cycles)
         super().__init__(n_requests, seed)
         self.n_clients = min(n_clients, n_requests)
         self.think_cycles = think_cycles

@@ -24,14 +24,11 @@ from repro.errors import SimulationError, WorkloadError
 from repro.obs.hist import exemplar_from_dict
 from repro.obs.rtrace import critical_path, trace_errors
 from repro.service.loadgen import (
-    _arch_for,
+    _calibrate,
     _fault_name,
     _resolve_ref,
     measure_service_point,
-    sequential_capacity,
 )
-from repro.sim.allocator import AddressSpaceAllocator
-from repro.workloads.generators import make_table
 
 if TYPE_CHECKING:
     from repro.scenario import ScenarioSpec
@@ -106,16 +103,10 @@ def explain_point(
 
     # Calibrate capacity exactly the way the sweep does, so the traced
     # point replays the same offered load as `serve <scenario>`.
-    arch = _arch_for(scenario)
-    allocator = AddressSpaceAllocator(page_size=arch.page_size)
-    table = make_table(allocator, "serve/dict", scenario.table_bytes)
-    measure, n_shards = measure_service_point, scenario.config.n_shards
-    if scenario.kind == "cluster":
-        from repro.cluster.loadgen import measure_cluster_point as measure
-
-        n_shards *= scenario.config.n_nodes
-    capacity, _ = sequential_capacity(table, arch, n_shards=n_shards, seed=seed)
-    outcome = measure(scenario, technique, load, seed, faults, capacity, True)
+    _, capacity, _ = _calibrate(scenario, seed)
+    outcome = measure_service_point(
+        scenario, technique, load, seed, faults, capacity, True
+    )
 
     slo = outcome["slo"]
     exemplar = exemplar_from_dict(slo["hist"], q)

@@ -7,6 +7,14 @@ seeded probe-value list, runs a fresh :class:`~repro.service.server.
 ServiceServer`, and flattens the report into a plain dict — the
 ``repro.service/1`` data document.
 
+``kind: cluster`` scenarios run through the same sweep. Only what
+differs is kind-specific: probe keys come from the user population
+(:func:`repro.cluster.loadgen.user_keys`), faults resolve per node, a
+:class:`~repro.cluster.server.ClusterServer` serves each point from the
+requests' home nodes, capacity covers the whole fleet
+(``n_shards * n_nodes`` sequential shards), and the points and the
+``repro.cluster/1`` document carry the cluster's own accounting.
+
 Offered load is calibrated, not guessed: the sweep first measures the
 sequential executor's warm cycles-per-lookup on the scenario's table and
 derives the socket's sequential capacity in requests per kilocycle.
@@ -19,6 +27,7 @@ the sequential curve has already folded.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -198,6 +207,17 @@ def percentile_of(report: ServiceReport, q: float = 99):
     return nearest_rank(sorted(report.latencies + report.shed_latencies), q)
 
 
+def _cluster_point(report) -> dict:
+    """The extra per-point fields of ``repro.cluster/1``."""
+    return {
+        "node_batches": report.node_batches(),
+        "node_completed": report.node_completed(),
+        "crossings": report.crossings(),
+        "interconnect_cycles": report.interconnect_cycles,
+        "cross_node_hedges": report.cross_node_hedges,
+    }
+
+
 def measure_service_point(
     scenario: ScenarioSpec,
     technique: str,
@@ -216,17 +236,32 @@ def measure_service_point(
     ``trace=True`` a :class:`~repro.obs.rtrace.RequestTracer` rides
     along and the outcome additionally carries every request's span
     tree (tracing is observational: the point itself is unchanged).
+
+    A ``kind: cluster`` point resolves its fault schedule at **node
+    scope** (``cluster-chaos`` draws whole-node events, which the
+    server lowers onto the node's shard range) and adds the cluster's
+    per-node counters, interconnect crossings and cycles to the point.
+    Every technique at the same load multiplier replays the identical
+    schedule, for both kinds.
     """
+    cluster = scenario.kind == "cluster"
+    if cluster:
+        from repro.cluster.loadgen import cluster_topology, home_nodes, user_keys
+        from repro.cluster.server import ClusterServer
+
     arch = _arch_for(scenario)
     allocator = AddressSpaceAllocator(page_size=arch.page_size)
     table = make_table(allocator, "serve/dict", scenario.table_bytes)
-    rng = np.random.RandomState(seed + 11)
-    values = [int(v) for v in rng.randint(0, table.size, scenario.n_requests)]
+    if cluster:
+        values = user_keys(scenario, table.size, seed)
+    else:
+        rng = np.random.RandomState(seed + 11)
+        values = [int(v) for v in rng.randint(0, table.size, scenario.n_requests)]
     config = scenario.config
     if technique.lower() in ("sequential", "std", "baseline"):
-        config = _replace_config(config, technique=technique, group_size=1)
+        config = dataclasses.replace(config, technique=technique, group_size=1)
     else:
-        config = _replace_config(config, technique=technique)
+        config = dataclasses.replace(config, technique=technique)
     rate = multiplier * capacity
     arrivals = make_arrivals(
         scenario.arrival_kind,
@@ -237,23 +272,35 @@ def measure_service_point(
     schedule = resolve_schedule(
         faults,
         horizon=fault_horizon(scenario.n_requests, rate),
-        n_shards=config.n_shards,
+        n_shards=config.n_nodes if cluster else config.n_shards,
         seed=seed,
     )
     tracer = RequestTracer() if trace else None
-    server = ServiceServer(
-        table,
-        config,
-        arch=arch,
-        seed=seed,
-        faults=schedule,
-        **({"tracer": tracer} if tracer is not None else {}),
-    )
-    report = server.serve(arrivals, values)
+    options = {"tracer": tracer} if tracer is not None else {}
+    if cluster:
+        topology = cluster_topology(scenario)
+        server = ClusterServer(
+            table,
+            config,
+            arch=arch,
+            seed=seed,
+            faults=schedule,
+            topology=topology,
+            **options,
+        )
+        homes = home_nodes(scenario, topology, arrivals)
+        report = server.serve(arrivals, values, homes=homes)
+    else:
+        server = ServiceServer(
+            table, config, arch=arch, seed=seed, faults=schedule, **options
+        )
+        report = server.serve(arrivals, values)
     point = _point(report, multiplier, rate)
     chaos = schedule is not None
     if chaos:
         point.update(_chaos_point(report, schedule))
+    if cluster:
+        point.update(_cluster_point(report))
     if report.control is not None:
         point["control"] = report.control
     outcome = {"point": point, "chaos": chaos, "slo": _slo_record(report, multiplier)}
@@ -266,6 +313,25 @@ def measure_service_point(
     return outcome
 
 
+def _calibrate(scenario: ScenarioSpec, seed: int):
+    """``(arch, capacity, cycles_per_lookup)`` of a scenario's table.
+
+    A cluster's capacity is that of its whole fleet, ``n_nodes *
+    n_shards`` sequential shards, so ``x2.0`` means twice what the
+    entire unreplicated sequential fleet could sustain.
+    """
+    arch = _arch_for(scenario)
+    allocator = AddressSpaceAllocator(page_size=arch.page_size)
+    table = make_table(allocator, "serve/dict", scenario.table_bytes)
+    n_shards = scenario.config.n_shards
+    if scenario.kind == "cluster":
+        n_shards *= scenario.config.n_nodes
+    capacity, cycles_per_lookup = sequential_capacity(
+        table, arch, n_shards=n_shards, seed=seed
+    )
+    return arch, capacity, cycles_per_lookup
+
+
 def _sweep(scenario, seed, faults, trace=False):
     """Run the full (technique, load) sweep; return the raw outcomes.
 
@@ -274,12 +340,7 @@ def _sweep(scenario, seed, faults, trace=False):
     (``run_scenario`` and ``run_slo_scenario`` of the same scenario hit
     the same cache line).
     """
-    arch = _arch_for(scenario)
-    allocator = AddressSpaceAllocator(page_size=arch.page_size)
-    table = make_table(allocator, "serve/dict", scenario.table_bytes)
-    capacity, cycles_per_lookup = sequential_capacity(
-        table, arch, n_shards=scenario.config.n_shards, seed=seed
-    )
+    arch, capacity, cycles_per_lookup = _calibrate(scenario, seed)
     args_tail = (True,) if trace else ()
     outcomes = default_runner().run(
         [
@@ -296,11 +357,31 @@ def _sweep(scenario, seed, faults, trace=False):
 
 
 def _service_doc(scenario, seed, faults, arch, capacity, cycles_per_lookup, outcomes):
+    """The sweep's data document.
+
+    A cluster document is ``repro.cluster/1`` whether or not chaos is
+    active (``fault_profile`` appears only when it is): its per-node
+    counters and crossings are its reason to exist, not a chaos add-on.
+    """
     chaos = any(outcome["chaos"] for outcome in outcomes)
     controlled = any("control" in outcome["point"] for outcome in outcomes)
     base_schema = CHAOS_SCHEMA if chaos else SERVICE_SCHEMA
+    fleet = {}
+    if scenario.kind == "cluster":
+        from repro.cluster.loadgen import CLUSTER_SCHEMA, cluster_topology
+
+        base_schema = CLUSTER_SCHEMA
+        topology = cluster_topology(scenario)
+        fleet = {
+            "n_nodes": scenario.config.n_nodes,
+            "replication": scenario.config.replication,
+            "n_shards_per_node": scenario.config.n_shards,
+            "n_users": scenario.n_users,
+            "interconnect": topology.as_dict(),
+            "regions": list(topology.regions),
+        }
     doc = {
-        "kind": "service",
+        "kind": scenario.kind,
         "schema": CONTROL_SCHEMA if controlled else base_schema,
         "scenario": scenario.name,
         "description": scenario.description,
@@ -309,6 +390,7 @@ def _service_doc(scenario, seed, faults, arch, capacity, cycles_per_lookup, outc
         "table_bytes": scenario.table_bytes,
         "n_requests": scenario.n_requests,
         "seed": seed,
+        **fleet,
         "seq_capacity_per_kcycle": capacity,
         "seq_cycles_per_lookup": cycles_per_lookup,
         "points": [outcome["point"] for outcome in outcomes],
@@ -331,8 +413,8 @@ def run_scenario(
 
     ``scenario`` accepts anything :func:`repro.scenario.resolve_scenario`
     does — a catalogue name, a ``file:scenario.yaml`` reference, a spec
-    dict, or a :class:`~repro.scenario.ScenarioSpec`; cluster scenarios
-    run through :func:`repro.cluster.loadgen.run_cluster_scenario`.
+    dict, or a :class:`~repro.scenario.ScenarioSpec`; a ``kind:
+    cluster`` scenario emits a ``repro.cluster/1`` document.
     ``faults`` overrides the scenario's default fault profile (a
     profile name, a profile, or a ready-built schedule). A run whose
     schedule resolves to empty — no chaos asked for, or the ``"none"``
@@ -344,10 +426,6 @@ def run_scenario(
     depends only on the request count and the offered rate).
     """
     scenario = _resolve_ref(scenario)
-    if scenario.kind == "cluster":
-        from repro.cluster.loadgen import run_cluster_scenario
-
-        return run_cluster_scenario(scenario, seed=seed, faults=faults)
     if faults is None:
         faults = scenario.fault_profile
     arch, capacity, cycles_per_lookup, outcomes = _sweep(scenario, seed, faults)
@@ -368,13 +446,11 @@ def run_traced_scenario(
     document an untraced run emits (tracing is observational), and
     ``traced`` maps a ``"technique@xLOAD"`` label per point to
     ``{"traces": [...], "fault_timeline": {...}}`` — the inputs of
-    :func:`repro.obs.rtrace.request_chrome_trace`.
+    :func:`repro.obs.rtrace.request_chrome_trace`. A cluster's attempt
+    spans carry node-tagged lanes (``"n2/s0"``), so ``repro explain``
+    shows *which replica* won a hedge.
     """
     scenario = _resolve_ref(scenario)
-    if scenario.kind == "cluster":
-        from repro.cluster.loadgen import run_traced_cluster_scenario
-
-        return run_traced_cluster_scenario(scenario, seed=seed, faults=faults)
     if faults is None:
         faults = scenario.fault_profile
     arch, capacity, cycles_per_lookup, outcomes = _sweep(
@@ -419,11 +495,7 @@ def run_slo_scenario(
         )
     if faults is None:
         faults = scenario.fault_profile
-    if scenario.kind == "cluster":
-        from repro.cluster.loadgen import _cluster_sweep as sweep
-    else:
-        sweep = _sweep
-    arch, capacity, _, outcomes = sweep(scenario, seed, faults)
+    arch, capacity, _, outcomes = _sweep(scenario, seed, faults)
     chaos = any(outcome["chaos"] for outcome in outcomes)
     return {
         "kind": "slo",
@@ -440,12 +512,6 @@ def run_slo_scenario(
         "seq_capacity_per_kcycle": capacity,
         "points": [outcome["slo"] for outcome in outcomes],
     }
-
-
-def _replace_config(config, **changes):
-    import dataclasses
-
-    return dataclasses.replace(config, **changes)
 
 
 def _resolve_ref(ref) -> ScenarioSpec:

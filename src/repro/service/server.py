@@ -59,7 +59,11 @@ from repro.obs.hist import ExemplarHistogram, nearest_rank
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rtrace import NULL_REQUEST_TRACER
 from repro.obs.slo import burn_analysis
-from repro.service.admission import AdmissionController, TokenBucket
+from repro.service.admission import (
+    OVERLOAD_POLICIES,
+    AdmissionController,
+    TokenBucket,
+)
 from repro.service.arrivals import ArrivalProcess
 from repro.service.coalescer import Coalescer
 from repro.service.request import Request
@@ -72,7 +76,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceReport",
     "ServiceServer",
-    "percentile",
 ]
 
 #: The SLO percentiles every report carries.
@@ -100,15 +103,6 @@ DEGRADATION_POLICIES = ("off", "adaptive")
 #: values become the outer side of a streaming join against the served
 #: table, probed through the same configured executor.
 REQUEST_KINDS = ("lookup", "plan")
-
-
-def percentile(sorted_values: list, q: float):
-    """Nearest-rank percentile of an ascending-sorted list.
-
-    Kept as a re-export for compatibility; the implementation is the
-    repo-wide :func:`repro.obs.hist.nearest_rank`.
-    """
-    return nearest_rank(sorted_values, q)
 
 
 @dataclass(frozen=True)
@@ -161,6 +155,28 @@ class ServiceConfig:
     controller: ControllerConfig | None = None
 
     def __post_init__(self) -> None:
+        if self.group_size is not None and self.group_size < 1:
+            raise ConfigurationError("group_size must be at least 1 (or None)")
+        if self.max_batch < 1:
+            raise ConfigurationError("max_batch must be at least 1")
+        if self.max_wait_cycles < 0:
+            raise ConfigurationError("max_wait_cycles cannot be negative")
+        if self.queue_capacity < 1:
+            raise ConfigurationError("queue_capacity must be at least 1")
+        if self.overload_policy not in OVERLOAD_POLICIES:
+            raise ConfigurationError(
+                f"unknown overload policy {self.overload_policy!r}; expected "
+                f"one of {OVERLOAD_POLICIES}"
+            )
+        if (
+            self.rate_limit_per_kcycle is not None
+            and self.rate_limit_per_kcycle <= 0
+        ):
+            raise ConfigurationError(
+                "rate_limit_per_kcycle must be positive (or None)"
+            )
+        if self.rate_limit_burst < 1:
+            raise ConfigurationError("rate_limit_burst must be at least 1")
         if self.n_shards < 1:
             raise ConfigurationError("server needs at least one shard")
         if self.warmup_requests < 0:
@@ -279,7 +295,7 @@ class ServiceReport:
         return int(self.metrics.snapshot()["service"]["queue_depth"]["peak"])
 
     def latency_percentiles(self) -> dict[str, int]:
-        return {f"p{q}": int(percentile(self.latencies, q)) for q in PERCENTILES}
+        return {f"p{q}": int(nearest_rank(self.latencies, q)) for q in PERCENTILES}
 
     def mean_decomposition(self) -> dict[str, float]:
         """Mean cycles per completed request, by serving phase."""

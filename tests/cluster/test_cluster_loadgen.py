@@ -1,22 +1,22 @@
 """Cluster loadgen: user keys, home mapping, and repro.cluster/1 docs."""
 
 import dataclasses
+import re
 
 import pytest
 
-from repro import api
-from repro.cluster.loadgen import (
-    CLUSTER_SCHEMA,
-    home_nodes,
-    run_cluster_scenario,
-    run_traced_cluster_scenario,
-    user_keys,
-)
+from repro.cluster.loadgen import CLUSTER_SCHEMA, home_nodes, user_keys
 from repro.cluster.topology import ClusterTopology
-from repro.errors import WorkloadError
+from repro.obs.rtrace import trace_errors
+from repro.obs.slo import SLO_SCHEMA
 from repro.service.arrivals import make_arrivals
 from repro.scenario import get_scenario
-from repro.service.loadgen import run_scenario
+from repro.service.explain import explain_point
+from repro.service.loadgen import (
+    run_scenario,
+    run_slo_scenario,
+    run_traced_scenario,
+)
 
 
 def _small(name, **overrides):
@@ -87,18 +87,14 @@ class TestHomeNodes:
 class TestClusterDocuments:
     def test_same_seed_bit_identical_clean(self):
         scenario = _small("cluster-steady")
-        assert run_cluster_scenario(scenario, seed=3) == run_cluster_scenario(
-            scenario, seed=3
-        )
+        assert run_scenario(scenario, seed=3) == run_scenario(scenario, seed=3)
 
     def test_same_seed_bit_identical_under_chaos(self):
         scenario = _small("planet-quick", loads=(1.0,))
-        assert run_cluster_scenario(scenario, seed=1) == run_cluster_scenario(
-            scenario, seed=1
-        )
+        assert run_scenario(scenario, seed=1) == run_scenario(scenario, seed=1)
 
     def test_document_shape(self):
-        steady = run_cluster_scenario(_small("cluster-steady"), seed=0)
+        steady = run_scenario(_small("cluster-steady"), seed=0)
         assert steady["schema"] == CLUSTER_SCHEMA
         assert steady["kind"] == "cluster"
         assert "fault_profile" not in steady
@@ -109,21 +105,64 @@ class TestClusterDocuments:
         assert sum(point["node_batches"].values()) == point["batches"]
         assert sum(point["node_completed"].values()) == point["completed"]
 
-        chaotic = run_cluster_scenario(_small("planet-quick"), seed=0)
+        chaotic = run_scenario(_small("planet-quick"), seed=0)
         assert chaotic["fault_profile"] == "cluster-chaos"
         assert chaotic["points"][0]["fault_events"] > 0
 
-    def test_service_entry_point_delegates(self):
-        scenario = _small("cluster-steady")
-        assert run_scenario(scenario, seed=2) == run_cluster_scenario(
-            scenario, seed=2
-        )
 
-    def test_non_cluster_scenario_rejected(self):
-        for entry_point in (
-            run_cluster_scenario,
-            run_traced_cluster_scenario,
-            api.serve_cluster,
-        ):
-            with pytest.raises(WorkloadError, match="not a cluster scenario"):
-                entry_point("quick")
+def _grid(scenario):
+    return [
+        (technique, load)
+        for technique in scenario.techniques
+        for load in scenario.loads
+    ]
+
+
+@pytest.fixture(scope="module")
+def traced_cluster():
+    scenario = _small(
+        "planet-quick", loads=(0.8, 1.6), techniques=("sequential", "CORO")
+    )
+    doc, traced = run_traced_scenario(scenario, seed=0)
+    return scenario, doc, traced
+
+
+class TestClusterTracing:
+    def test_traced_document_equals_plain(self, traced_cluster):
+        scenario, doc, _ = traced_cluster
+        assert doc == run_scenario(scenario, seed=0)
+
+    def test_one_label_per_point_with_well_formed_span_trees(
+        self, traced_cluster
+    ):
+        scenario, _, traced = traced_cluster
+        assert list(traced) == [
+            f"{technique}@x{load:g}" for technique, load in _grid(scenario)
+        ]
+        for record in traced.values():
+            assert record["traces"]
+            for trace in record["traces"]:
+                assert trace_errors(trace) == []
+
+    def test_explain_attempt_lanes_are_node_tagged(self):
+        doc = explain_point(_small("cluster-steady"), seed=0)
+        lanes = [
+            attempt["lane"]
+            for attempt in doc["critical_path"]["attempt_spans"]
+        ]
+        assert lanes
+        assert all(re.fullmatch(r"n\d+/s\d+", lane) for lane in lanes)
+
+
+class TestClusterSlo:
+    def test_one_slo_point_per_technique_and_load(self):
+        scenario = _small(
+            "cluster-steady", loads=(0.8, 1.6), techniques=("sequential", "CORO")
+        )
+        doc = run_slo_scenario(scenario, seed=0)
+        assert doc["schema"] == SLO_SCHEMA
+        assert doc["scenario"] == "cluster-steady"
+        assert [
+            (point["technique"], point["load_multiplier"])
+            for point in doc["points"]
+        ] == _grid(scenario)

@@ -39,13 +39,6 @@ class TestNearestRank:
         assert nearest_rank([7], 99) == 7
         assert nearest_rank([], 50) == 0
 
-    def test_server_percentile_delegates_here(self):
-        from repro.service.server import percentile
-
-        values = sorted([12, 5, 99, 4, 3, 77, 23])
-        for q in (1, 50, 95, 99, 100):
-            assert percentile(values, q) == nearest_rank(values, q)
-
     def test_rejects_out_of_range_q(self):
         with pytest.raises(SimulationError):
             nearest_rank([1, 2], 0)

@@ -25,7 +25,6 @@ CACHED_POINTS = (
     "repro.analysis.experiments:measure_binary_search",
     "repro.analysis.experiments:measure_query",
     "repro.service.loadgen:measure_service_point",
-    "repro.cluster.loadgen:measure_cluster_point",
     "repro.analysis.tracing:traced_point",
 )
 

@@ -144,3 +144,72 @@ def test_bad_arrival_param_exits_2_with_field_path(
 ):
     assert main([verb, f"file:{bad_arrival_spec_file}"]) == 2
     assert "arrival.params.burst_cycle" in capsys.readouterr().err
+
+
+#: Specs whose values used to pass ``list`` and fail late (or run as a
+#: silently different config), with what each verb now reports.
+_OUT_OF_RANGE = {
+    "overload_policy": (
+        {"config": {"overload_policy": "bogus"}},
+        "config: unknown overload policy 'bogus'",
+    ),
+    "queue_capacity": (
+        {"config": {"queue_capacity": 0}},
+        "config: queue_capacity must be at least 1",
+    ),
+    "max_batch": (
+        {"config": {"max_batch": 0}},
+        "config: max_batch must be at least 1",
+    ),
+    "max_wait_cycles": (
+        {"config": {"max_wait_cycles": -1}},
+        "config: max_wait_cycles cannot be negative",
+    ),
+    "rate_limit_burst": (
+        {"config": {"rate_limit_burst": 0}},
+        "config: rate_limit_burst must be at least 1",
+    ),
+    "rate_limit_zero": (
+        {"config": {"rate_limit_per_kcycle": 0}},
+        "config: rate_limit_per_kcycle must be positive",
+    ),
+    "group_size_zero": (
+        {"config": {"group_size": 0}},
+        "config: group_size must be at least 1",
+    ),
+    "group_size_negative": (
+        {"config": {"group_size": -3}},
+        "config: group_size must be at least 1",
+    ),
+    "config_technique": (
+        {"config": {"technique": "warpdrive"}},
+        "config.technique: ",
+    ),
+    "burst_cycles": (
+        {
+            "arrival": {
+                "kind": "bursty",
+                "params": {"burst_cycles": 0, "gap_cycles": 30_000},
+            }
+        },
+        "arrival.params.burst_cycles: burst_cycles must be",
+    ),
+    "amplitude": (
+        {"arrival": {"kind": "diurnal", "params": {"amplitude": 3}}},
+        "arrival.params.amplitude: amplitude must be in [0, 1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", ["list", "serve", "explain"])
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_out_of_range_value_exits_2_with_field_path(
+    verb, case, capsys, tmp_path
+):
+    fields, expected = _OUT_OF_RANGE[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(
+        json.dumps({"schema": "repro.scenario/1", "name": case, **fields})
+    )
+    assert main([verb, f"file:{path}"]) == 2
+    assert expected in capsys.readouterr().err

@@ -151,6 +151,10 @@ class TestStrictValidation:
         with pytest.raises(SpecError, match="techniques"):
             ScenarioSpec.from_dict(self._minimal(techniques=["warpdrive"]))
 
+    def test_unknown_config_technique_has_path(self):
+        with pytest.raises(SpecError, match=r"^config\.technique: "):
+            ScenarioSpec.from_dict(self._minimal(config={"technique": "warpdrive"}))
+
 
 class TestConstruction:
     """Literals and ``dataclasses.replace`` copies are checked like
@@ -233,6 +237,27 @@ class TestArrivalParams:
         with pytest.raises(
             SpecError, match=rf"^arrival\.params\.{key}: set per load point"
         ):
+            ScenarioSpec(name="t", arrival_kind=kind, arrival_params=params)
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("bursty", {"burst_cycles": 0, "gap_cycles": 30_000}, "burst_cycles"),
+            ("bursty", {"burst_cycles": 10, "gap_cycles": -5}, "gap_cycles"),
+            (
+                "bursty",
+                {"burst_cycles": 10, "gap_cycles": 10, "base_rate_per_kcycle": 0},
+                "base_rate_per_kcycle",
+            ),
+            ("diurnal", {"amplitude": 3}, "amplitude"),
+            ("diurnal", {"n_regions": 0}, "n_regions"),
+            ("diurnal", {"n_regions": 2.5}, "n_regions"),
+            ("diurnal", {"day_cycles": 0}, "day_cycles"),
+            ("closed", {"think_cycles": 0}, "think_cycles"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, kind, params, key):
+        with pytest.raises(SpecError, match=rf"^arrival\.params\.{key}: {key} "):
             ScenarioSpec(name="t", arrival_kind=kind, arrival_params=params)
 
     def test_optional_keys_accepted(self):
@@ -340,9 +365,8 @@ class TestDeprecatedScenarioKeyword:
             run_slo_scenario(scenario="chaos-quick")
 
     def test_api_serve_scenario_kwarg_is_a_type_error(self):
-        for verb in (api.serve, api.serve_cluster):
-            with pytest.raises(TypeError, match="scenario"):
-                verb(scenario="quick")
+        with pytest.raises(TypeError, match="scenario"):
+            api.serve(scenario="quick")
 
     def test_positional_reference_does_not_warn(self):
         with warnings.catch_warnings():

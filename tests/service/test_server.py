@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.config import scaled
+from repro.obs.hist import nearest_rank
 from repro.service.arrivals import PoissonArrivals, make_arrivals
 from repro.service.loadgen import sequential_capacity
-from repro.service.server import ServiceConfig, ServiceServer, percentile
+from repro.service.server import ServiceConfig, ServiceServer
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.workloads.generators import make_table
 
@@ -143,20 +144,20 @@ class TestClosedLoopIntegration:
 class TestReportAndPercentiles:
     def test_nearest_rank_percentiles(self):
         values = list(range(1, 101))  # 1..100
-        assert percentile(values, 50) == 50
-        assert percentile(values, 95) == 95
-        assert percentile(values, 99) == 99
-        assert percentile(values, 100) == 100
-        assert percentile([7], 99) == 7
-        assert percentile([], 50) == 0
+        assert nearest_rank(values, 50) == 50
+        assert nearest_rank(values, 95) == 95
+        assert nearest_rank(values, 99) == 99
+        assert nearest_rank(values, 100) == 100
+        assert nearest_rank([7], 99) == 7
+        assert nearest_rank([], 50) == 0
 
     def test_percentile_rejects_out_of_range_q(self):
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):
-            percentile([1, 2], 0)
+            nearest_rank([1, 2], 0)
         with pytest.raises(SimulationError):
-            percentile([1, 2], 101)
+            nearest_rank([1, 2], 101)
 
     def test_report_surfaces_are_consistent(self, table, values):
         report = run_once(table, values)
@@ -177,6 +178,31 @@ class TestReportAndPercentiles:
             ServiceConfig(n_shards=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(warmup_requests=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("overload_policy", "bogus"),
+            ("queue_capacity", 0),
+            ("max_batch", 0),
+            ("max_wait_cycles", -1),
+            ("rate_limit_burst", 0),
+            ("rate_limit_per_kcycle", 0),
+            ("rate_limit_per_kcycle", -1.5),
+            ("group_size", 0),
+            ("group_size", -3),
+        ],
+    )
+    def test_every_component_field_checked(self, field, value):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(**{field: value})
+
+    def test_none_disables_rate_limit_and_group_size(self):
+        config = ServiceConfig(rate_limit_per_kcycle=None, group_size=None)
+        assert config.rate_limit_per_kcycle is None
+        assert config.group_size is None
 
 
 class TestPlanRequests:
