@@ -10,10 +10,15 @@ chaos-quick, planet-quick, cluster-steady and every file under
 quick, chaos-quick, planet-quick and cluster-steady. Each document is
 hashed the way the harness hashes it (sha256 of its canonical JSON:
 ``sort_keys``, no whitespace) and compared with
-``tests/data/document_digests.json``::
+``tests/data/document_digests.json``. The ``plan:`` documents are the
+``repro.query/1`` output of ``python -m repro plan --json`` for the Main
+and Delta stores under the ``sequential`` and ``interleaved`` encode
+strategies, plus one Delta ``interleaved`` run in 24-key probe batches
+(21 small locate batches with fills still in flight between them)::
 
     PYTHONPATH=src python benchmarks/check_doc_digests.py             # check all
     PYTHONPATH=src python benchmarks/check_doc_digests.py fig1 serve:quick slo:quick
+    PYTHONPATH=src python benchmarks/check_doc_digests.py plan:delta-interleaved
     PYTHONPATH=src python benchmarks/check_doc_digests.py --record    # rewrite
 
 The goldens are quick-scale documents, so the script pins
@@ -40,12 +45,23 @@ SCENARIOS = ("steady", "quick", "chaos-quick", "planet-quick", "cluster-steady")
 #: one of each serving document shape (plain, chaos, cluster with and
 #: without faults).
 SHAPES = ("quick", "chaos-quick", "planet-quick", "cluster-steady")
+#: ``plan:`` documents -> the ``python -m repro plan`` arguments behind them.
+PLANS = {
+    "main-sequential": ("--store", "main", "--strategy", "sequential"),
+    "main-interleaved": ("--store", "main", "--strategy", "interleaved"),
+    "delta-sequential": ("--store", "delta", "--strategy", "sequential"),
+    "delta-interleaved": ("--store", "delta", "--strategy", "interleaved"),
+    "delta-interleaved-probe24": (
+        "--store", "delta", "--strategy", "interleaved", "--probe-batch", "24",
+    ),
+}
 
 
 def documents() -> list[str]:
     """Every checked document, as ``<verb>:<target>``.
 
-    The verbs are ``experiment``, ``serve``, ``explain`` and ``slo``.
+    The verbs are ``experiment``, ``serve``, ``explain``, ``slo`` and
+    ``plan``.
     """
     files = sorted(
         f"file:scenarios/{path.name}"
@@ -57,6 +73,7 @@ def documents() -> list[str]:
         *(f"serve:{spec}" for spec in (*SCENARIOS, *files)),
         *(f"explain:{name}" for name in SHAPES),
         *(f"slo:{name}" for name in SHAPES),
+        *(f"plan:{name}" for name in PLANS),
     ]
 
 
@@ -79,6 +96,18 @@ def produce(document: str) -> dict:
         from repro.service.loadgen import run_slo_scenario
 
         return run_slo_scenario(target, seed=0)
+    if verb == "plan":
+        import contextlib
+        import io
+
+        from repro.__main__ import main as cli
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli(["plan", *PLANS[target], "--json"])
+        if status:
+            raise RuntimeError(f"{document}: repro plan exited {status}")
+        return json.loads(out.getvalue())
     return api.serve(target, seed=0, jobs=1).doc
 
 
@@ -88,8 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         "documents",
         nargs="*",
         help=(
-            "subset to check: experiment names, or serve:/explain:/slo: "
-            "followed by a scenario (default: all)"
+            "subset to check: experiment names, serve:/explain:/slo: "
+            "followed by a scenario, or plan: followed by one of "
+            f"{', '.join(PLANS)} (default: all)"
         ),
     )
     parser.add_argument(

@@ -709,7 +709,11 @@ def _profile_main(argv: list[str]) -> int:
         size_grid,
     )
     from repro.errors import ReproError
-    from repro.interleaving.compiled import compiled_timings, reset_compiled_stats
+    from repro.interleaving.compiled import (
+        compiled_stats,
+        compiled_timings,
+        reset_compiled_stats,
+    )
 
     n = min(lookups_per_point(), 400)
     query_experiments = {"fig1", "fig8", "table1", "table2"}
@@ -740,7 +744,8 @@ def _profile_main(argv: list[str]) -> int:
 
     # Compilable runs replay staged schedules; the staging cost (a
     # one-time compile) is reported separately from the replay cost so
-    # the profile is not misread as "replay is slow".
+    # the profile is not misread as "replay is slow", and runs that took
+    # their generators instead are counted by reason.
     reset_compiled_stats()
     try:
         _result, report = profile_call(point, top=args.top)
@@ -756,6 +761,13 @@ def _profile_main(argv: list[str]) -> int:
             f"{timings['schedule_compile_s']:.4f} "
             f"replay_s={timings['replay_s']:.4f}"
         )
+    stats = compiled_stats()
+    if stats["fallbacks"]:
+        reasons = " ".join(
+            f"{reason}={count}"
+            for reason, count in sorted(stats["fallbacks_by_reason"].items())
+        )
+        print(f"generator fallbacks: {stats['fallbacks']} ({reasons})")
     return 0
 
 

@@ -191,7 +191,9 @@ class EncodedColumn:
         (``INVALID_CODE`` for absent values). GP and AMAC are only
         available for Main dictionaries (they are binary-search
         rewrites); the coroutine strategies work for both stores — the
-        paper's practicality argument.
+        paper's practicality argument — as one typed
+        :meth:`BulkLookup.locate` job over the dictionary, which replays
+        on the staged path for both stores.
         """
         if strategy not in ENCODE_STRATEGIES:
             raise ColumnStoreError(
@@ -200,9 +202,7 @@ class EncodedColumn:
         dictionary = self.dictionary
         executor_name = _STRATEGY_EXECUTORS[strategy]
         if strategy in ("sequential", "interleaved"):
-            job = BulkLookup.stream(
-                lambda v, il: dictionary.locate_stream(v, il, costs), values
-            )
+            job = BulkLookup.locate(dictionary, values, costs)
             return executor_name, job, lambda raw: raw
         if not isinstance(dictionary, MainDictionary):
             raise ColumnStoreError(

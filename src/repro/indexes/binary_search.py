@@ -36,6 +36,7 @@ from repro.sim.events import SUSPEND, Compute, Load, Prefetch
 __all__ = [
     "SearchCosts",
     "DEFAULT_COSTS",
+    "EXACT_MATCH_COST",
     "binary_search_std",
     "binary_search_baseline",
     "binary_search_coro",
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 _COST = CostModel()
+
+#: ``(cycles, instructions)`` of :func:`locate_stream`'s final equality
+#: check.
+EXACT_MATCH_COST = (2, 2)
 
 
 @dataclass(frozen=True)
@@ -248,7 +253,7 @@ def locate_stream(
     else:
         low = yield from binary_search_coro(table, value, interleave, costs)
     yield Load(table.address_of(low), table.element_size)
-    yield Compute(2, 2)
+    yield Compute(*EXACT_MATCH_COST)
     if table.value_at(low) == value:
         return low
     return INVALID_CODE

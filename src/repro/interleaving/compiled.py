@@ -1,55 +1,68 @@
 """Trace compilation: staged interleave schedules, replayed flat.
 
-For a fixed (technique, group size, index shape) the suspend/resume
-sequence of every scheduler in this package is *deterministic*: which
-stream runs next, and whether its visit issues a prefetch, a load, or a
-switch, depends only on the number of inputs, the search depth, and the
-group size — never on the looked-up values. Cimple exploits exactly this
-to stage interleave schedules statically, and CoroBase flattens coroutine
+Whichever stream a scheduler in this package resumes next, and whether
+its visit issues a prefetch, a load, or a switch, depends only on how
+many resumes each lookup takes and on the group size — never on the
+looked-up values. Cimple exploits exactly this to stage interleave
+schedules from one lookup description, and CoroBase flattens coroutine
 frames into compiler-visible state machines for the same reason. This
-module does the Python-simulator equivalent:
+module does the Python-simulator equivalent, in two parts:
 
-1. **Record** — the schedule builder stages the scheduler's event stream
-   once per (technique, group_size, depth, n) into a flattened *event
-   schedule*: a table of ``(event_kind, address_index, cycle_cost)`` rows
-   with consecutive straight-line computes pre-merged. The staging is
-   verified against a real recorded trace: the first time a (technique,
-   group size) pair compiles, the executor's generators run on a small
-   calibration table under a recording engine, and the schedule must
-   reproduce that event stream byte for byte (a mismatch is a hard
-   :class:`~repro.errors.SimulationError`, never a silent wrong answer).
-2. **Parameterize** — per-key divergence lives entirely in the probe
-   *addresses*: every key follows the same size-halving recurrence, so
-   one numpy pass computes the whole ``(n_keys, depth)`` probe matrix for
-   the paper's identity arrays (a pure-Python pass covers arbitrary
-   monotone ``value_fn`` tables), and schedule rows reference flat
-   ``key * depth + iteration`` indexes into it.
-3. **Replay** — the staged rows, the probe addresses and the schedule's
-   static instruction/slot totals go to
-   :meth:`ExecutionEngine.execute_rows
-   <repro.sim.engine.ExecutionEngine.execute_rows>`, whose kernel in
-   :mod:`repro.sim.replay` runs them against the live memory system. No
-   generators, no event objects, no dispatch — and **bit-identical**
-   cycle counts, search results, and counters.
+* an **address model** per workload kind gives each key's *segments* —
+  the events between two suspension points, one segment per resume —
+  its probe addresses, and its result:
+
+  - :class:`_SearchModel` covers binary searches over a sorted table:
+    sorted-array jobs (the branchy ``std`` search included) and Main
+    dictionary locates (the search plus the exact-match load). Every
+    key follows the same size-halving recurrence, so its segments are
+    one template, and one numpy pass computes the whole probe matrix
+    for identity arrays (a pure-Python pass covers arbitrary monotone
+    tables). Its schedules are memoized per shape;
+  - :class:`_DrainedModel` covers any other dictionary locate (Delta's
+    CSB+-tree walk): each key's stream runs once, engine-free, and is
+    split at every suspension. Its rows belong to one job.
+
+* an **interleave rule** per technique orders the segments:
+  ``sequential``, ``Baseline`` and ``std`` run each key's segments back
+  to back, CORO resumes a group round-robin by each key's own segment
+  count, and GP and AMAC (rewrites for sorted arrays only) step through
+  the search depth.
+
+The ordered events are lowered to the ``(opcode, address_index,
+advance)`` rows of :mod:`repro.sim.replay` with consecutive
+straight-line computes pre-merged, plus the schedule's static
+instruction/slot totals, and :meth:`ExecutionEngine.execute_rows
+<repro.sim.engine.ExecutionEngine.execute_rows>` runs them against the
+live memory system. No generators, no event objects, no dispatch — and
+**bit-identical** cycle counts, search results, counters and engine RNG
+draws. The staging is verified against a real recorded trace: the
+first time a (technique, address model, group size) combination
+replays, the executor's generators run a calibration slice of the job
+under a recording engine, and the schedule must reproduce that event
+stream byte for byte (a mismatch is a hard
+:class:`~repro.errors.SimulationError`, never a silent wrong answer).
 
 This module owns only the interleaving side: which rows a technique
 issues, in which order. The machine model lives in :mod:`repro.sim`,
 and nothing here touches its private state.
 
-There is no separate compiled executor: ``Baseline``, ``GP``, ``AMAC``,
-``CORO`` and ``sequential`` declare a schedule key and route every run
-through :func:`run_staged`, which replays when the job compiles — a
-sorted-array job with search depth >= 1 whose elements never straddle a
-cache line, on a plain :class:`~repro.sim.engine.ExecutionEngine` whose
-tracer is off, run by a default executor instance — and otherwise runs
-the executor's generators and counts the fallback by executor and by
-reason (``workload_kind``, ``tracer``, ``engine_subclass``,
-``shallow_table``, ``line_straddle``, ``executor_options``). The
-counters are exported through ``repro.perf.metrics`` under
+There is no separate compiled executor: ``std``, ``Baseline``, ``GP``,
+``AMAC``, ``CORO`` and ``sequential`` declare a schedule key and route
+every run through :func:`run_staged`, which replays when the job
+compiles — a sorted-array or dictionary-locate job whose loads never
+straddle a cache line, on a plain
+:class:`~repro.sim.engine.ExecutionEngine` whose tracer is off, run by a
+default executor instance — and otherwise runs the executor's
+generators and counts the fallback by executor and by reason
+(``workload_kind``, ``tracer``, ``engine_subclass``, ``shallow_table``,
+``line_straddle``, ``executor_options``). Opaque stream jobs never
+replay: a stream may read the outcome of its own events. The counters
+are exported through ``repro.perf.metrics`` under
 ``interleaving.compiled``.
 
-Staged schedules are memoized in-process as compact integer arrays,
-least recently used first out once the memo holds more than
+Staged search schedules are memoized in-process as compact integer
+arrays, least recently used first out once the memo holds more than
 :data:`_MEMO_ROW_BUDGET` rows.
 """
 
@@ -57,14 +70,25 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.indexes.binary_search import DEFAULT_COSTS
+from repro.indexes.base import INVALID_CODE
+from repro.indexes.binary_search import EXACT_MATCH_COST
 from repro.sim.engine import ExecutionEngine
-from repro.sim.replay import OP_COMPUTE, OP_LOAD, OP_PREFETCH, _advance
+from repro.sim.events import Compute, Load, Prefetch, Suspend
+from repro.sim.replay import (
+    NO_PREDICTION,
+    OP_COMPUTE,
+    OP_LOAD,
+    OP_PREFETCH,
+    OP_PREFETCH_LINES,
+    OP_SPEC_LOAD,
+    _advance,
+)
 
 __all__ = [
     "compiled_stats",
@@ -177,31 +201,27 @@ def _generators_only():
 def run_staged(executor, tasks, engine, group_size: int) -> list:
     """Run ``tasks`` through ``executor``'s staged schedule when it compiles.
 
-    ``executor.schedule`` names the schedule builder and
+    ``executor.schedule`` names the interleave rule and
     ``executor._fallback_reason(tasks, engine)`` says why a job can not
-    replay (``None`` when it can). A job that can not runs the
-    executor's generators (``executor._run``), counted as a fallback.
+    replay (``None`` when it can); a drained job can still turn out not
+    to compile (an access that straddles a cache line, an event the
+    kernel has no row for). A job that can not runs the executor's
+    generators (``executor._run``), counted as a fallback.
     """
     if _GENERATORS_ONLY or not tasks.inputs:
         return executor._run(tasks, engine, group_size)
+    technique = executor.schedule
     reason = executor._fallback_reason(tasks, engine)
+    if reason is None:
+        model = _address_model(technique, tasks, engine.arch.line_size)
+        reason = model.reason
     if reason is not None:
         _count_fallback(executor.name, reason)
         return executor._run(tasks, engine, group_size)
-    table = tasks.target
-    depth = search_depth(table.size)
-    _validate_staging(executor, group_size, engine.arch)
-    costs = tasks.costs.for_table(table)
-    rows, totals = _schedule_rows(
-        executor.schedule,
-        len(tasks.inputs),
-        depth,
-        group_size,
-        (costs.iter_cycles, costs.iter_instructions),
-        engine.cost,
-    )
+    _validate_staging(executor, tasks, model.kind, group_size, engine.arch)
+    rows, totals = model.schedule(technique, group_size, engine.cost)
     started = perf_counter()
-    addresses, results = _probe_addresses(table, tasks.inputs, depth)
+    addresses, results = model.probes()
     engine.execute_rows(rows, addresses, totals)
     _STATS["replay_s"] += perf_counter() - started
     _STATS["replays"] += 1
@@ -209,57 +229,118 @@ def run_staged(executor, tasks, engine, group_size: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# Schedule staging: symbolic ops per technique
+# Symbolic ops
 # ----------------------------------------------------------------------
 #
-# Symbolic micro-ops, exactly one per engine-visible event:
-#   ("F",)          coroutine frame allocation
-#   ("SW", kind)    one stream switch (kind: "coro" | "amac" | "gp")
-#   ("IT",)         one search-iteration compute
-#   ("L", k, it)    demand load of key k's it-th probe
-#   ("P", k, it)    software prefetch of key k's it-th probe
+# Exactly one op per engine-visible event; address ops carry the flat
+# index of their address and the access size (the size only matters to
+# staging validation: replay loads one line per load):
+#   ("L", i, size)    demand load of addresses[i]
+#   ("SL", i, size)   branchy-search load of addresses[i]; addresses[i + 1]
+#                     and [i + 2] are the predicted successors, or
+#                     NO_PREDICTION (see repro.sim.replay)
+#   ("P", i, size)    PREFETCHNTA of addresses[i] (one line)
+#   ("PL", i, size)   PREFETCHNTA of addresses[i] .. addresses[i + 1]
+#   ("IT",)           one search-iteration compute
+#   ("C", c, i)       any other compute of c cycles and i instructions
+#   ("SW", kind)      one stream switch (kind: "coro" | "amac" | "gp")
+#   ("F",)            coroutine frame allocation
+# Interleave rules also emit ("S", key, segment): run the events of one
+# key's segment, the stretch between two suspension points.
+
+_ITER = ("IT",)
+_FRAME = ("F",)
+_SWITCH = {kind: ("SW", kind) for kind in ("coro", "amac", "gp")}
+
+
+def _halves(size: int) -> list:
+    """``half`` of each iteration of the shared binary-search recurrence."""
+    halves = []
+    while size // 2 > 0:
+        halves.append(size // 2)
+        size -= size // 2
+    return halves
 
 
 def search_depth(size: int) -> int:
     """Iterations of the shared binary-search recurrence for ``size``."""
-    depth = 0
-    while size // 2 > 0:
-        size -= size // 2
-        depth += 1
-    return depth
+    return len(_halves(size))
 
 
-def _ops_sequential(n: int, depth: int, group_size: int) -> list:
-    """Baseline / sequential: each key runs to completion, in order."""
+# ----------------------------------------------------------------------
+# Interleave rules: the order of each technique's events
+# ----------------------------------------------------------------------
+
+
+def _rule_sequential(counts: list, group_size: int) -> list:
+    """Baseline / sequential / std: each key runs to completion, in order."""
+    return [
+        ("S", key, segment)
+        for key, count in enumerate(counts)
+        for segment in range(count)
+    ]
+
+
+def _rule_coro(counts: list, group_size: int) -> list:
+    """CORO: Listing 7's round-robin with frame recycling on refill.
+
+    ``counts[key]`` is the number of resumes key's coroutine takes (its
+    suspensions plus one); each resume is one switch and one segment.
+    """
+    n = len(counts)
     ops: list = []
     append = ops.append
-    for key in range(n):
-        for it in range(depth):
-            append(("L", key, it))
-            append(("IT",))
+    switch = _SWITCH["coro"]
+    group = min(group_size, n)
+    # Slot state: [key, resumes_completed]; None once retired.
+    slots: list = []
+    for key in range(group):
+        append(_FRAME)  # only the first generation allocates frames
+        slots.append([key, 0])
+    next_input = group
+    not_done = group
+    while not_done:
+        for position in range(group):
+            slot = slots[position]
+            if slot is None:
+                continue
+            key, resumes = slot
+            if resumes < counts[key]:
+                append(switch)
+                append(("S", key, resumes))
+                slot[1] = resumes + 1
+            elif next_input < n:  # recycled frame: no events this visit
+                slots[position] = [next_input, 0]
+                next_input += 1
+            else:
+                slots[position] = None
+                not_done -= 1
     return ops
 
 
-def _ops_gp(n: int, depth: int, group_size: int) -> list:
+def _rule_gp(model, n: int, group_size: int) -> list:
     """Group prefetching: lock-step blocks, prefetch stage then load stage."""
     ops: list = []
     append = ops.append
+    switch = _SWITCH["gp"]
     for start in range(0, n, group_size):
         end = min(start + group_size, n)
-        for it in range(depth):
+        for it in range(model.depth):
             for key in range(start, end):
-                append(("P", key, it))
+                append(model.prefetch(key, it))
             for key in range(start, end):
-                append(("L", key, it))
-                append(("IT",))
-                append(("SW", "gp"))
+                append(model.load(key, it))
+                append(_ITER)
+                append(switch)
     return ops
 
 
-def _ops_amac(n: int, depth: int, group_size: int) -> list:
+def _rule_amac(model, n: int, group_size: int) -> list:
     """AMAC: round-robin buffer of state machines, refill inside a visit."""
     ops: list = []
     append = ops.append
+    switch = _SWITCH["amac"]
+    depth = model.depth
     group = min(group_size, n)
     # Slot state: [key, prefetches_issued, stage] (0 = prefetch, 1 = access).
     buffer: list = [[key, 0, 0] for key in range(group)]
@@ -270,15 +351,15 @@ def _ops_amac(n: int, depth: int, group_size: int) -> list:
             slot = buffer[position]
             if slot is None:
                 continue
-            append(("SW", "amac"))
+            append(switch)
             while True:
                 if slot[2] == 1:  # access stage: consume the prefetched probe
-                    append(("L", slot[0], slot[1] - 1))
-                    append(("IT",))
+                    append(model.load(slot[0], slot[1] - 1))
+                    append(_ITER)
                     slot[2] = 0
                     continue
                 if slot[1] < depth:  # prefetch stage: issue and switch
-                    append(("P", slot[0], slot[1]))
+                    append(model.prefetch(slot[0], slot[1]))
                     slot[1] += 1
                     slot[2] = 1
                     break
@@ -294,52 +375,34 @@ def _ops_amac(n: int, depth: int, group_size: int) -> list:
     return ops
 
 
-def _ops_coro(n: int, depth: int, group_size: int) -> list:
-    """CORO: Listing 7's round-robin with frame recycling on refill."""
-    ops: list = []
-    append = ops.append
-    group = min(group_size, n)
-    # Slot state: [key, resumes_completed]; None once retired.
-    slots: list = []
-    for key in range(group):
-        append(("F",))  # only the first generation allocates frames
-        slots.append([key, 0])
-    next_input = group
-    not_done = group
-    while not_done:
-        for position in range(group):
-            slot = slots[position]
-            if slot is None:
-                continue
-            key, resumes = slot
-            if resumes <= depth:  # resumes 1 .. depth+1 do work
-                append(("SW", "coro"))
-                if resumes == 0:
-                    append(("P", key, 0))
-                elif resumes < depth:
-                    append(("L", key, resumes - 1))
-                    append(("IT",))
-                    append(("P", key, resumes))
-                else:
-                    append(("L", key, depth - 1))
-                    append(("IT",))
-                slot[1] = resumes + 1
-            elif next_input < n:  # recycled frame: no events this visit
-                slots[position] = [next_input, 0]
-                next_input += 1
-            else:
-                slots[position] = None
-                not_done -= 1
-    return ops
-
-
-_OPS_BUILDERS = {
-    "baseline": _ops_sequential,
-    "sequential": _ops_sequential,
-    "gp": _ops_gp,
-    "amac": _ops_amac,
-    "coro": _ops_coro,
+#: Rules over per-key segment counts: any address model.
+_RULES = {
+    "baseline": _rule_sequential,
+    "sequential": _rule_sequential,
+    "std": _rule_sequential,
+    "coro": _rule_coro,
 }
+
+#: Rules that exist only for the sorted-array search (Table 5's
+#: rewrites): they read the model's probe ops directly.
+_SEARCH_RULES = {"gp": _rule_gp, "amac": _rule_amac}
+
+
+def _schedule_ops(technique: str, model, group_size: int) -> list:
+    """The technique's ops over ``model``'s keys, segments expanded."""
+    builder = _SEARCH_RULES.get(technique)
+    if builder is not None:
+        return builder(model, len(model.values), group_size)
+    ops: list = []
+    extend = ops.extend
+    append = ops.append
+    segment = model.segment
+    for op in _RULES[technique](model.counts(), group_size):
+        if op[0] == "S":
+            extend(segment(op[1], op[2]))
+        else:
+            append(op)
+    return ops
 
 
 # ----------------------------------------------------------------------
@@ -347,9 +410,8 @@ _OPS_BUILDERS = {
 # ----------------------------------------------------------------------
 #
 # Replay rows are the ``(opcode, address_index, advance)`` triples of
-# :mod:`repro.sim.replay`: one ``OP_LOAD`` or ``OP_PREFETCH`` row per
-# memory operation, with address_index = key * depth + iteration, and
-# one trailing ``OP_COMPUTE`` row for the compute after the last one.
+# :mod:`repro.sim.replay`: one row per memory operation, and one
+# trailing ``OP_COMPUTE`` row for the compute after the last one.
 # ``advance`` is the straight-line compute block *preceding* the row's
 # memory operation — switches, search iterations, and frame
 # allocations merged into one pre-normalized clock advance. Merging is
@@ -357,27 +419,38 @@ _OPS_BUILDERS = {
 # independently before the clock moves (integer arithmetic, order-free
 # sum). The prefetch instruction's own issue compute is charged by the
 # replay kernel itself, not folded into ``advance``. A staged schedule
-# stores its rows column-wise in one ``(3, n_rows)`` int64 array.
+# stores its rows column-wise in one ``(3, n_rows)`` int32 array.
+
+_OPCODES = {
+    "L": OP_LOAD,
+    "SL": OP_SPEC_LOAD,
+    "P": OP_PREFETCH,
+    "PL": OP_PREFETCH_LINES,
+}
 
 
-def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
+def _lower_rows(ops: list, iter_cost: tuple, cost_model) -> tuple:
     """Lower symbolic ops to a ``(3, n_rows)`` row array + static totals.
 
     Instruction retirement and issue-slot accounting are *static* per
     schedule — every compute charge is known at staging time, and the
-    prefetch issue charge is fixed per ``P`` row — so they are summed
-    here once into ``(instructions_total, core_slots_total)`` instead
-    of being re-accumulated on every replay.
+    prefetch issue charge is fixed per prefetch row — so they are
+    summed here once into ``(instructions_total, core_slots_total)``
+    instead of being re-accumulated on every replay.
     """
     issue_width = cost_model.issue_width
-    switch_costs = {
-        "coro": cost_model.coro_switch,
-        "amac": cost_model.amac_switch,
-        "gp": cost_model.gp_switch,
+    fixed = {
+        _FRAME: (cost_model.frame_alloc_cycles, cost_model.frame_alloc_instructions),
+        _SWITCH["coro"]: cost_model.coro_switch,
+        _SWITCH["amac"]: cost_model.amac_switch,
+        _SWITCH["gp"]: cost_model.gp_switch,
     }
-    frame_cost = (cost_model.frame_alloc_cycles, cost_model.frame_alloc_instructions)
-    iter_cycles, iter_instructions = iter_cost
-    iter_advance = _advance(iter_cycles, iter_instructions, issue_width)
+    if iter_cost is not None:  # drained models carry their computes as "C"
+        fixed[_ITER] = iter_cost
+    steps = {
+        op: (_advance(cycles, instructions, issue_width), instructions)
+        for op, (cycles, instructions) in fixed.items()
+    }
     pf_instructions = cost_model.prefetch_issue_instructions
     pf_advance = _advance(
         cost_model.prefetch_issue_cycles, pf_instructions, issue_width
@@ -389,33 +462,28 @@ def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
     instructions_total = 0
     advance_total = 0
     for op in ops:
-        tag = op[0]
-        if tag == "L" or tag == "P":
-            opcodes.append(OP_LOAD if tag == "L" else OP_PREFETCH)
-            indexes.append(op[1] * depth + op[2])
+        opcode = _OPCODES.get(op[0])
+        if opcode is not None:
+            opcodes.append(opcode)
+            indexes.append(op[1])
             advances.append(pending_advance)
             pending_advance = 0
-            if tag == "P":
+            if opcode == OP_PREFETCH or opcode == OP_PREFETCH_LINES:
                 instructions_total += pf_instructions
                 advance_total += pf_advance
-        elif tag == "IT":
-            pending_advance += iter_advance
-            instructions_total += iter_instructions
-            advance_total += iter_advance
-        else:  # "SW" or "F"
-            cycles, instructions = (
-                switch_costs[op[1]] if tag == "SW" else frame_cost
-            )
-            step = _advance(cycles, instructions, issue_width)
-            pending_advance += step
-            instructions_total += instructions
-            advance_total += step
+            continue
+        step = steps.get(op)
+        if step is None:  # ("C", cycles, instructions)
+            step = steps[op] = (_advance(op[1], op[2], issue_width), op[2])
+        pending_advance += step[0]
+        instructions_total += step[1]
+        advance_total += step[0]
     if pending_advance:
         opcodes.append(OP_COMPUTE)
         indexes.append(0)
         advances.append(pending_advance)
     core_slots_total = issue_width * advance_total - instructions_total
-    rows = np.array([opcodes, indexes, advances], dtype=np.int64)
+    rows = np.array([opcodes, indexes, advances], dtype=np.int32)
     return rows, (instructions_total, core_slots_total)
 
 
@@ -424,101 +492,296 @@ def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
 _SCHEDULE_MEMO: OrderedDict = OrderedDict()
 
 #: Rows the memo keeps before it evicts its least recently used
-#: schedules (24 bytes a row; the newest schedule always stays).
+#: schedules (12 bytes a row; the newest schedule always stays).
 _MEMO_ROW_BUDGET = 1 << 21
 
 
-def _schedule_rows(
-    technique: str, n: int, depth: int, group_size: int, iter_cost: tuple, cost_model
-) -> tuple:
-    """Stage (or recall) the flattened event schedule for one shape.
+# ----------------------------------------------------------------------
+# Address models: each key's segments, addresses and result
+# ----------------------------------------------------------------------
 
-    Returns ``(rows, totals)``: the ``(3, n_rows)`` row array and the
-    static ``(instructions, core_slots)`` accounting of the schedule.
+
+def _address_model(technique: str, tasks, line_size: int):
+    """The address model of a job ``_fallback_reason`` let through.
+
+    Sorted-array jobs, and locates in a dictionary that binary-searches
+    a sorted table (a Main dictionary exposes it as ``array``), get a
+    :class:`_SearchModel`; every other locate job is drained.
     """
-    signature = (
-        technique,
-        n,
-        depth,
-        group_size,
-        tuple(iter_cost),
-        tuple(cost_model.coro_switch),
-        tuple(cost_model.amac_switch),
-        tuple(cost_model.gp_switch),
-        (cost_model.frame_alloc_cycles, cost_model.frame_alloc_instructions),
-        (cost_model.prefetch_issue_cycles, cost_model.prefetch_issue_instructions),
-        cost_model.issue_width,
-    )
-    memo = _SCHEDULE_MEMO
-    staged = memo.get(signature)
-    if staged is not None:
-        memo.move_to_end(signature)
-        _STATS["schedule_cache_hits"] += 1
+    interleave = technique == "coro"
+    if tasks.kind == "sorted_array":  # executor.SORTED_ARRAY (it imports us)
+        return _SearchModel(
+            tasks.target, tasks.inputs, tasks.costs,
+            interleave=interleave, speculative=technique == "std", verify=False,
+        )
+    table = getattr(tasks.target, "array", None)
+    if table is not None:
+        # Main's locate: the branchy speculative search when sequential,
+        # the coroutine when interleaved, then the exact-match check.
+        return _SearchModel(
+            table, tasks.inputs, tasks.costs,
+            interleave=interleave, speculative=not interleave, verify=True,
+        )
+    from repro.interleaving.executor import _stream_factory
+
+    return _DrainedModel(_stream_factory(tasks), tasks.inputs, interleave, line_size)
+
+
+class _SearchModel:
+    """A binary search over a sorted table: one recurrence for every key.
+
+    Every key runs the size-halving recurrence of the shared search, so
+    the schedule — which rows, in which order — depends only on the
+    number of keys, the search depth and the group size: it is staged
+    once per shape and memoized, and per-key divergence lives entirely in
+    the probe *addresses*. Each key owns a block of ``stride``
+    addresses: probe ``it`` at ``width * it`` (a branchy search follows
+    each probe with its two predicted successors, ``width`` 3), then the
+    exact-match load of a locate.
+    """
+
+    reason = None
+
+    def __init__(self, table, values, costs, *, interleave, speculative, verify):
+        self.table = table
+        self.values = values
+        self.halves = _halves(table.size)  # the table size alone sets them
+        self.depth = len(self.halves)
+        self.interleave = interleave
+        self.speculative = speculative
+        self.verify = verify
+        self.width = 3 if speculative else 1
+        self.stride = self.depth * self.width + verify
+        self.size = table.element_size
+        costs = costs.for_table(table)
+        self.iter_cost = (costs.iter_cycles, costs.iter_instructions)
+        self.kind = ("search", speculative, verify)
+
+    def load(self, key: int, it: int) -> tuple:
+        tag = "SL" if self.speculative else "L"
+        return (tag, key * self.stride + it * self.width, self.size)
+
+    def prefetch(self, key: int, it: int) -> tuple:
+        return ("P", key * self.stride + it, self.size)
+
+    def counts(self) -> list:
+        resumes = self.depth + 1 if self.interleave else 1
+        return [resumes] * len(self.values)
+
+    def segment(self, key: int, segment: int) -> list:
+        """Resume ``segment`` of key's search (the whole search unless
+        interleaved): the load and iteration the previous suspension
+        waited for, then the next prefetch, or the exact-match check."""
+        ops: list = []
+        if not self.interleave:
+            for it in range(self.depth):
+                ops += (self.load(key, it), _ITER)
+        else:
+            if segment:
+                ops += (self.load(key, segment - 1), _ITER)
+            if segment < self.depth:
+                ops.append(self.prefetch(key, segment))
+                return ops
+        if self.verify:
+            check = ("L", key * self.stride + self.stride - 1, self.size)
+            ops += (check, ("C", *EXACT_MATCH_COST))
+        return ops
+
+    def schedule(self, technique: str, group_size: int, cost_model) -> tuple:
+        """Stage (or recall) the flattened rows and totals for this shape."""
+        signature = (
+            technique,
+            len(self.values),
+            self.depth,
+            group_size,
+            self.iter_cost,
+            tuple(cost_model.coro_switch),
+            tuple(cost_model.amac_switch),
+            tuple(cost_model.gp_switch),
+            (cost_model.frame_alloc_cycles, cost_model.frame_alloc_instructions),
+            (cost_model.prefetch_issue_cycles, cost_model.prefetch_issue_instructions),
+            cost_model.issue_width,
+            self.kind,
+        )
+        memo = _SCHEDULE_MEMO
+        staged = memo.get(signature)
+        if staged is not None:
+            memo.move_to_end(signature)
+            _STATS["schedule_cache_hits"] += 1
+            return staged
+        started = perf_counter()
+        ops = _schedule_ops(technique, self, group_size)
+        staged = _lower_rows(ops, self.iter_cost, cost_model)
+        memo[signature] = staged
+        held = sum(rows.shape[1] for rows, _totals in memo.values())
+        while held > _MEMO_ROW_BUDGET and len(memo) > 1:
+            _signature, (rows, _totals) = memo.popitem(last=False)
+            held -= rows.shape[1]
+        _STATS["compiled_schedules"] += 1
+        _STATS["schedule_compile_s"] += perf_counter() - started
         return staged
-    started = perf_counter()
-    ops = _OPS_BUILDERS[technique](n, depth, group_size)
-    staged = _lower_rows(ops, depth, iter_cost, cost_model)
-    memo[signature] = staged
-    held = sum(rows.shape[1] for rows, _totals in memo.values())
-    while held > _MEMO_ROW_BUDGET and len(memo) > 1:
-        _signature, (rows, _totals) = memo.popitem(last=False)
-        held -= rows.shape[1]
-    _STATS["compiled_schedules"] += 1
-    _STATS["schedule_compile_s"] += perf_counter() - started
-    return staged
 
+    def probes(self) -> tuple:
+        """Flat address list (key-major blocks) and per-key results.
 
-# ----------------------------------------------------------------------
-# Probe parameterization: one pass computes every key's address stream
-# ----------------------------------------------------------------------
+        Mirrors the shared recurrence every search variant runs: ``half``
+        follows the table size alone, ``low`` advances per key when
+        ``value_at(probe) <= value``. Identity arrays (the paper's
+        microbenchmark fill and implicit dictionaries) vectorize through
+        numpy; any other table walks the same recurrence in Python via
+        ``value_at``. Results are lower-bound positions, or a locate's
+        code (``INVALID_CODE`` when the value is absent).
+        """
+        table, values, halves = self.table, self.values, self.halves
+        # A branchy search predicts probe it + 1 at ``half[it + 1]`` past
+        # either successor of ``low``; the last probe predicts nothing.
+        successors = halves[1:] + [0]
+        if getattr(table, "is_identity", False) and all(
+            isinstance(value, (int, np.integer)) for value in values
+        ):
+            return self._identity_probes(halves, successors)
+        base = table.region.base
+        element_size = table.element_size
+        value_at = table.value_at
+        speculative = self.speculative
+        addresses: list = []
+        results: list = []
+        append = addresses.append
+        for value in values:
+            low = 0
+            for half, successor in zip(halves, successors):
+                probe = low + half
+                append(base + probe * element_size)
+                if speculative:
+                    if successor:
+                        append(base + (probe + successor) * element_size)
+                        append(base + (low + successor) * element_size)
+                    else:
+                        append(NO_PREDICTION)
+                        append(NO_PREDICTION)
+                if value_at(probe) <= value:
+                    low = probe
+            if self.verify:
+                append(base + low * element_size)
+                results.append(low if value_at(low) == value else INVALID_CODE)
+            else:
+                results.append(low)
+        return addresses, results
 
-
-def _probe_addresses(table, values, depth: int) -> tuple[list, list]:
-    """Flat probe-address list (key-major) and per-key search results.
-
-    Mirrors the shared recurrence every search variant runs: ``half``
-    follows the table size alone, ``low`` advances per key when
-    ``value_at(probe) <= value``. Identity arrays (the paper's
-    microbenchmark fill) vectorize through numpy; any other table walks
-    the same recurrence in Python via ``value_at``.
-    """
-    base = table.region.base
-    element_size = table.element_size
-    n = len(values)
-    if getattr(table, "is_identity", False) and all(
-        isinstance(value, (int, np.integer)) for value in values
-    ):
-        lookups = np.asarray(values, dtype=np.int64)
-        low = np.zeros(n, dtype=np.int64)
-        probes = np.empty((depth, n), dtype=np.int64)
-        size = table.size
-        for it in range(depth):
-            half = size // 2
+    def _identity_probes(self, halves: list, successors: list) -> tuple:
+        """:meth:`probes` for ``value_at(i) == i``, one numpy pass per level."""
+        lookups = np.asarray(self.values, dtype=np.int64)
+        low = np.zeros(lookups.size, dtype=np.int64)
+        block = np.empty((lookups.size, self.stride), dtype=np.int64)
+        width = self.width
+        for it, (half, successor) in enumerate(zip(halves, successors)):
             probe = low + half
-            probes[it] = probe
+            column = it * width
+            block[:, column] = probe
+            if self.speculative:
+                if successor:
+                    block[:, column + 1] = probe + successor
+                    block[:, column + 2] = low + successor
+                else:
+                    block[:, column + 1 : column + 3] = -1
             low = np.where(probe <= lookups, probe, low)
-            size -= half
-        addresses = (probes.T * element_size + base).ravel().tolist()
-        return addresses, low.tolist()
-    value_at = table.value_at
-    halves = []
-    size = table.size
-    while size // 2 > 0:
-        half = size // 2
-        halves.append(half)
-        size -= half
-    addresses = []
-    results = []
-    append = addresses.append
-    for value in values:
-        low = 0
-        for half in halves:
-            probe = low + half
-            append(base + probe * element_size)
-            if value_at(probe) <= value:
-                low = probe
-        results.append(low)
-    return addresses, results
+        if self.verify:
+            block[:, -1] = low
+            low = np.where(low == lookups, low, INVALID_CODE)
+        table = self.table
+        addresses = block * table.element_size + table.region.base
+        if self.speculative:
+            addresses[block < 0] = NO_PREDICTION
+        return addresses.ravel(), low.tolist()
+
+
+class _DrainedModel:
+    """Lookups whose streams are each drained once, engine-free.
+
+    Runs every key's stream to completion without an engine and splits
+    its events at each suspension point into *segments*, one per resume.
+    This is exact only for streams that never read the outcome of an
+    event (a ``Prefetch`` answer, say) — the dictionary ``locate``
+    streams, whose control flow depends on the looked-up values alone.
+    Drained rows belong to one job, so they bypass the schedule memo.
+    ``reason`` names why the job can not replay: an access straddling
+    a cache line, or an event the kernel has no row for.
+    """
+
+    kind = ("drained",)
+    iter_cost = None
+
+    def __init__(self, factory, values, interleave: bool, line_size: int) -> None:
+        self.values = values
+        self.reason = None
+        started = perf_counter()
+        addresses: list = []
+        results: list = []
+        segments: list = []
+        add = addresses.append
+        for value in values:
+            stream = factory(value, interleave)
+            send = stream.send
+            current: list = []
+            key_segments = [current]
+            append = current.append
+            try:
+                while True:
+                    event = send(None)
+                    kind = type(event)
+                    if kind is Load:
+                        addr, size = event.addr, event.size
+                        if event.spec_next is not None:
+                            self.reason = "workload_kind"
+                            return
+                        if addr % line_size + size > line_size:
+                            self.reason = "line_straddle"
+                            return
+                        append(("L", len(addresses), size))
+                        add(addr)
+                    elif kind is Compute:
+                        append(("C", event.cycles, event.instructions))
+                    elif kind is Suspend:
+                        current = []
+                        key_segments.append(current)
+                        append = current.append
+                    elif kind is Prefetch and event.nta:
+                        addr, size = event.addr, event.size
+                        last = addr + size - 1
+                        if addr // line_size == last // line_size:
+                            append(("P", len(addresses), size))
+                            add(addr)
+                        else:
+                            append(("PL", len(addresses), size))
+                            add(addr)
+                            add(last)
+                    else:
+                        self.reason = "workload_kind"
+                        return
+            except StopIteration as stop:
+                results.append(stop.value)
+            segments.append(key_segments)
+        self.addresses = addresses
+        self.results = results
+        self.segments = segments
+        _STATS["schedule_compile_s"] += perf_counter() - started
+
+    def counts(self) -> list:
+        return [len(key_segments) for key_segments in self.segments]
+
+    def segment(self, key: int, segment: int) -> list:
+        return self.segments[key][segment]
+
+    def schedule(self, technique: str, group_size: int, cost_model) -> tuple:
+        started = perf_counter()
+        ops = _schedule_ops(technique, self, group_size)
+        staged = _lower_rows(ops, None, cost_model)
+        _STATS["compiled_schedules"] += 1
+        _STATS["schedule_compile_s"] += perf_counter() - started
+        return staged
+
+    def probes(self) -> tuple:
+        return self.addresses, self.results
 
 
 # ----------------------------------------------------------------------
@@ -538,7 +801,7 @@ class _RecordingEngine(ExecutionEngine):
         super().compute(cycles, instructions)
 
     def execute_load(self, event, ctx=None):
-        self.trace.append(("L", event.addr, event.size))
+        self.trace.append(("L", event.addr, event.size, event.spec_next))
         super().execute_load(event, ctx)
 
     def execute_prefetch(self, event):
@@ -553,51 +816,60 @@ class _RecordingEngine(ExecutionEngine):
 #: Validation signatures already checked this process.
 _VALIDATED: set = set()
 
-#: Calibration table: 1 KB of 4-byte identity elements -> depth 8.
-_CALIBRATION_BYTES = 1024
 
-
-def _expand_expected(ops, addresses, depth, iter_cost, element_size, cost):
+def _expand_expected(ops, addresses, iter_cost, cost):
     """What a :class:`_RecordingEngine` must log for a staged schedule."""
     expected: list = []
     append = expected.append
-    switch_costs = {
-        "coro": cost.coro_switch,
-        "amac": cost.amac_switch,
-        "gp": cost.gp_switch,
+    computes = {
+        _ITER: iter_cost,
+        _SWITCH["coro"]: cost.coro_switch,
+        _SWITCH["amac"]: cost.amac_switch,
+        _SWITCH["gp"]: cost.gp_switch,
     }
+    issue = ("C", cost.prefetch_issue_cycles, cost.prefetch_issue_instructions)
     for op in ops:
         tag = op[0]
         if tag == "L":
-            append(("L", addresses[op[1] * depth + op[2]], element_size))
-        elif tag == "P":
-            append(("P", addresses[op[1] * depth + op[2]], element_size))
-            append(("C", cost.prefetch_issue_cycles, cost.prefetch_issue_instructions))
-        elif tag == "IT":
-            append(("C", iter_cost[0], iter_cost[1]))
-        elif tag == "SW":
-            cycles, instructions = switch_costs[op[1]]
-            append(("C", cycles, instructions))
-        else:  # "F"
+            append(("L", addresses[op[1]], op[2], None))
+        elif tag == "SL":
+            index = op[1]
+            spec = None
+            if addresses[index + 1] != NO_PREDICTION:
+                spec = (addresses[index + 1], addresses[index + 2])
+            append(("L", addresses[index], op[2], spec))
+        elif tag == "P" or tag == "PL":
+            append(("P", addresses[op[1]], op[2]))
+            append(issue)
+        elif tag == "C":
+            append(op)
+        elif tag == "F":
             append(("F",))
             append(("C", cost.frame_alloc_cycles, cost.frame_alloc_instructions))
+        else:  # "IT" or "SW"
+            append(("C", *computes[op]))
     return expected
 
 
-def _validate_staging(executor, group_size: int, arch) -> None:
+def _validate_staging(executor, tasks, model_kind: tuple, group_size: int, arch) -> None:
     """Record the executor's generators once; the staged schedule must match.
 
-    Runs ``executor``'s generators on a small calibration table under a
-    :class:`_RecordingEngine` and compares their event stream —
-    addresses, sizes, and compute charges included — against the staged
-    ops expanded with the calibration probe addresses. Covers the
-    schedule structure end to end: prologue allocations, refill timing,
-    partial final generations, and the per-visit event mix.
+    The first time a (technique, address model, group size, cost model)
+    combination replays, ``executor``'s generators run a calibration
+    slice of the job — its own target, with enough of its inputs (reused
+    cyclically) for two full generations and a partial one — under a
+    :class:`_RecordingEngine`, and their event stream (addresses, sizes,
+    ``spec_next`` predictions and compute charges included) must equal
+    the staged ops expanded with the model's addresses, and the results
+    the model's. Covers the schedule structure end to end: prologue
+    allocations, refill timing, partial final generations, per-key
+    segment counts, and the per-visit event mix.
     """
     technique = executor.schedule
     cost = arch.cost
     signature = (
         technique,
+        model_kind,
         group_size,
         cost.issue_width,
         tuple(cost.coro_switch),
@@ -608,30 +880,28 @@ def _validate_staging(executor, group_size: int, arch) -> None:
     )
     if signature in _VALIDATED:
         return
-    from repro.indexes.sorted_array import int_array_of_bytes
-    from repro.interleaving.executor import BulkLookup
-    from repro.sim.allocator import AddressSpaceAllocator
-
-    table = int_array_of_bytes(
-        AddressSpaceAllocator(), "compile-calibration", _CALIBRATION_BYTES
-    )
-    depth = search_depth(table.size)
     n = 2 * group_size + max(2, group_size // 2)  # 2 generations + a partial
-    values = [(index * 97 + 13) % table.size for index in range(n)]
+    inputs = tasks.inputs
+    calibration = replace(
+        tasks, inputs=tuple(inputs[i % len(inputs)] for i in range(n))
+    )
+    model = _address_model(technique, calibration, arch.line_size)
     recorder = _RecordingEngine(arch)
-    recorded_results = executor._run(
-        BulkLookup.sorted_array(table, values), recorder, group_size
-    )
-    iter_cost = (DEFAULT_COSTS.iter_cycles, DEFAULT_COSTS.iter_instructions)
-    ops = _OPS_BUILDERS[technique](n, depth, group_size)
-    addresses, staged_results = _probe_addresses(table, values, depth)
-    expected = _expand_expected(
-        ops, addresses, depth, iter_cost, table.element_size, cost
-    )
-    if expected != recorder.trace or list(recorded_results) != staged_results:
+    recorded_results = executor._run(calibration, recorder, group_size)
+    if model.reason is None:
+        ops = _schedule_ops(technique, model, group_size)
+        addresses, staged_results = model.probes()
+        addresses = np.asarray(addresses).tolist()
+        expected = _expand_expected(ops, addresses, model.iter_cost, cost)
+    if (
+        model.reason is not None
+        or expected != recorder.trace
+        or list(recorded_results) != list(staged_results)
+    ):
         raise SimulationError(
-            f"staged {technique!r} schedule (group_size={group_size}) does "
-            f"not reproduce the recorded generator trace; refusing to replay"
+            f"staged {technique!r} schedule (group_size={group_size}, "
+            f"model {model_kind}) does not reproduce the recorded generator "
+            f"trace; refusing to replay"
         )
     _VALIDATED.add(signature)
     _STATS["validations"] += 1

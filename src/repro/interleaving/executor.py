@@ -15,8 +15,8 @@ schedules drop-in interchangeable:
   ``run(tasks, engine, *, group_size, recorder) -> results`` plus
   ``name`` and ``supports(workload_kind)``.
 * :class:`BulkLookup` — one bulk index-join job: a workload *kind*
-  (sorted array, CSB+-tree, hash probe, or a raw stream factory), the
-  probed structure, and the input values.
+  (sorted array, CSB+-tree, hash probe, dictionary locate, or a raw
+  stream factory), the probed structure, and the input values.
 * :data:`EXECUTOR_REGISTRY` — string-keyed registry populated by the
   :func:`register_executor` decorator; every technique declares which
   workload kinds it supports, so callers ask the registry instead of
@@ -34,11 +34,11 @@ for all five paper techniques across this refactor — and when a span
 recorder is attached, each run is wrapped in an ``executor`` span whose
 attributes carry the executor name and workload kind.
 
-``Baseline``, ``GP``, ``AMAC``, ``CORO`` and ``sequential`` also carry a
-``schedule`` key: jobs that compile replay the technique's staged
-interleave schedule (:mod:`repro.interleaving.compiled`) with the same
-cycles, and every other job runs the generators, counted as a fallback.
-``std`` and ``SPP`` always run their generators.
+``std``, ``Baseline``, ``GP``, ``AMAC``, ``CORO`` and ``sequential``
+also carry a ``schedule`` key: jobs that compile replay the technique's
+staged interleave schedule (:mod:`repro.interleaving.compiled`) with the
+same cycles, and every other job runs the generators, counted as a
+fallback. ``SPP`` always runs its generators.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ __all__ = [
     "SORTED_ARRAY",
     "CSB_TREE",
     "HASH_PROBE",
+    "LOCATE",
     "STREAM",
     "BulkLookup",
     "Executor",
@@ -95,11 +96,14 @@ SORTED_ARRAY = "sorted_array"
 CSB_TREE = "csb_tree"
 #: Bulk probes of a :class:`~repro.indexes.hash_table.ChainedHashTable`.
 HASH_PROBE = "hash_probe"
+#: Bulk ``locate`` in a column dictionary: each lookup is the
+#: dictionary's own ``locate_stream`` coroutine (Main or Delta).
+LOCATE = "locate"
 #: Arbitrary coroutine lookups from a user-supplied stream factory.
 STREAM = "stream"
 
 #: Every workload kind an executor may declare support for.
-WORKLOAD_KINDS = (SORTED_ARRAY, CSB_TREE, HASH_PROBE, STREAM)
+WORKLOAD_KINDS = (SORTED_ARRAY, CSB_TREE, HASH_PROBE, LOCATE, STREAM)
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,21 @@ class BulkLookup:
     @classmethod
     def hash_probe(cls, table, keys: Sequence[int]) -> "BulkLookup":
         return cls(HASH_PROBE, table, tuple(keys))
+
+    @classmethod
+    def locate(
+        cls, dictionary, values: Sequence[object], costs: SearchCosts = DEFAULT_COSTS
+    ) -> "BulkLookup":
+        """Locate every value in ``dictionary``, one code per input.
+
+        ``dictionary.locate_stream(value, interleave, costs)`` is the
+        lookup coroutine. Unlike an opaque :meth:`stream` job, a locate
+        stream never reads the outcome of its events, which is what lets
+        the staged replay drain it once without an engine; a dictionary
+        whose locate binary-searches a sorted table exposes that table
+        as ``array`` (Main), and replay then models it in closed form.
+        """
+        return cls(LOCATE, dictionary, tuple(values), costs)
 
     @classmethod
     def stream(cls, factory: StreamFactory, inputs: Sequence[object]) -> "BulkLookup":
@@ -318,16 +337,28 @@ class _ExecutorBase:
         return compiled.run_staged(self, tasks, engine, group_size)
 
     def _fallback_reason(self, tasks: BulkLookup, engine: ExecutionEngine) -> str | None:
-        """Why ``tasks`` can not replay the staged schedule (``None``: it can)."""
-        if tasks.kind != SORTED_ARRAY:
+        """Why ``tasks`` can not replay the staged schedule (``None``: it can).
+
+        A drained locate job (Delta) can still fall back once drained;
+        see :func:`repro.interleaving.compiled.run_staged`.
+        """
+        if tasks.kind not in (SORTED_ARRAY, LOCATE):
+            # Opaque streams may branch on their own events' outcomes.
             return "workload_kind"
         if engine.tracer.enabled:
             return "tracer"  # span recorders need the live event stream
         if type(engine) is not ExecutionEngine:
             return "engine_subclass"
-        table = tasks.target
-        if compiled.search_depth(table.size) < 1:
-            return "shallow_table"
+        if tasks.kind == SORTED_ARRAY:
+            table = tasks.target
+            if compiled.search_depth(table.size) < 1:
+                return "shallow_table"
+        else:
+            # Main locates search a sorted table; Delta locates are
+            # drained, and every drained load is checked instead.
+            table = getattr(tasks.target, "array", None)
+            if table is None:
+                return None
         element_size = table.element_size
         if engine.arch.line_size % element_size or table.region.base % element_size:
             return "line_straddle"  # replay loads exactly one line per probe
@@ -348,6 +379,11 @@ def _stream_factory(tasks: BulkLookup) -> StreamFactory:
         table, costs = tasks.target, tasks.costs
         return lambda value, interleave: binary_search_coro(
             table, value, interleave, costs
+        )
+    if tasks.kind == LOCATE:
+        dictionary, costs = tasks.target, tasks.costs
+        return lambda value, interleave: dictionary.locate_stream(
+            value, interleave, costs
         )
     if tasks.kind == CSB_TREE:
         from repro.indexes.csb_tree import csb_lookup_stream
@@ -371,6 +407,7 @@ class StdExecutor(_ExecutorBase):
     name = "std"
     workload_kinds = (SORTED_ARRAY,)
     paper_technique = True
+    schedule = "std"
 
     def _run(self, tasks, engine, group_size):
         table, costs = tasks.target, tasks.costs

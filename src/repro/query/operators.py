@@ -417,7 +417,7 @@ class DictionaryInner(InnerIndex):
     """A column's dictionary (Main or Delta) as the join's inner side.
 
     Routes through :meth:`EncodedColumn.locate_job`, so the per-executor
-    workload choice (coroutine stream vs. sorted-array rewrite) and the
+    workload choice (dictionary locate vs. sorted-array rewrite) and the
     GP/AMAC-on-Delta refusal are exactly the bulk path's: executors the
     store has no rewrite for fall back to the sequential probe path.
     """

@@ -357,15 +357,17 @@ class ExecutionEngine:
     def execute_rows(self, rows, addresses, totals: tuple) -> None:
         """Execute a staged stream of computes, loads and prefetches at once.
 
-        ``rows`` is a ``(3, n_rows)`` int64 array of ``(opcode,
+        ``rows`` is a ``(3, n_rows)`` integer array of ``(opcode,
         address_index, advance)`` columns (see :mod:`repro.sim.replay`),
         ``addresses`` the flat list of byte addresses its loads and
         prefetches index, and ``totals`` the stream's static
-        ``(instructions, core_slots)`` compute accounting. The clock and
-        every counter end exactly where :meth:`compute`,
-        :meth:`execute_load` and :meth:`execute_prefetch` (``PREFETCHNTA``)
-        would leave them, provided each access lies within one cache
-        line. The batch records no spans and calls no subclass override.
+        ``(instructions, core_slots)`` compute accounting. The clock,
+        every counter and the engine's RNG end exactly where
+        :meth:`compute`, :meth:`execute_load` (speculative loads with
+        ``spec_next`` included, each search on its own stream context)
+        and :meth:`execute_prefetch` (``PREFETCHNTA``) would leave them,
+        provided each load lies within one cache line. The batch records
+        no spans and calls no subclass override.
         """
         _replay_rows(self, rows, addresses, totals)
 

@@ -9,19 +9,32 @@ where issuing the stream through :meth:`~ExecutionEngine.compute`,
 :meth:`~ExecutionEngine.execute_load` and
 :meth:`~ExecutionEngine.execute_prefetch` would have left it.
 
-A stream is a ``(3, n_rows)`` int64 array whose columns are
+A stream is a ``(3, n_rows)`` integer array whose columns are
 ``(opcode, address_index, advance)`` rows:
 
 * ``(OP_LOAD, i, adv)`` — demand load of ``addresses[i]``;
 * ``(OP_PREFETCH, i, adv)`` — ``PREFETCHNTA`` of ``addresses[i]``, its
   issue charge included;
+* ``(OP_SPEC_LOAD, i, adv)`` — demand load of ``addresses[i]`` by a
+  branchy search (``Load`` with ``spec_next``): it first resolves the
+  pending branch prediction (a mispredict costs the penalty), and unless
+  ``addresses[i + 1]`` is :data:`NO_PREDICTION` it predicts the next
+  probe — ``addresses[i + 1]`` or ``addresses[i + 2]``, drawn from the
+  engine's RNG exactly as ``execute_load`` draws — and starts its fill
+  early: an uncharged shadow translation, then a prefetch fill that is
+  not non-temporal, both at the speculative issue cycle;
+* ``(OP_PREFETCH_LINES, i, adv)`` — one ``PREFETCHNTA`` of the bytes
+  ``addresses[i]`` .. ``addresses[i + 1]``, one fill per line touched
+  (a CSB+-tree node);
 * ``(OP_COMPUTE, 0, adv)`` — pure compute;
 
 where ``adv`` is the clock advance of the straight-line compute that
 precedes the row's memory operation, already normalized by
 :func:`_advance`. Instruction and issue-slot accounting does not depend
 on the machine state, so the caller passes it once as the stream's
-``(instructions, core_slots)`` totals.
+``(instructions, core_slots)`` totals. A prediction never outlives its
+stream: the last load of a branchy search resolves it without
+predicting again.
 
 The kernel performs the integer arithmetic of :mod:`~repro.sim.engine`,
 :mod:`~repro.sim.memory`, :mod:`~repro.sim.tlb`, :mod:`~repro.sim.lfb`
@@ -46,12 +59,24 @@ from repro.sim.allocator import PAGE_TABLE_BASE
 from repro.sim.lfb import FillRequest
 from repro.sim.tlb import PTE_SIZE
 
-__all__ = ["OP_COMPUTE", "OP_LOAD", "OP_PREFETCH"]
+__all__ = [
+    "NO_PREDICTION",
+    "OP_COMPUTE",
+    "OP_LOAD",
+    "OP_PREFETCH",
+    "OP_PREFETCH_LINES",
+    "OP_SPEC_LOAD",
+]
 
 #: Row opcodes.
 OP_COMPUTE = 0
 OP_LOAD = 1
 OP_PREFETCH = 2
+OP_SPEC_LOAD = 3
+OP_PREFETCH_LINES = 4
+
+#: ``addresses`` entry marking a speculative load with no prediction.
+NO_PREDICTION = -1
 
 
 def _advance(cycles: int, instructions: int, issue_width: int) -> int:
@@ -115,13 +140,15 @@ if {now} >= next_completion:
     next_completion = heap[0][0] if heap else INF"""
 
 
-def _start_fill_src(line: str, now: str, prefetch: str) -> str:
+def _start_fill_src(line: str, now: str, non_temporal: str, is_prefetch: str) -> str:
     """Fill start (``LineFillBuffers.acquire`` + ``MemorySystem._start_fill``).
 
     Leaves ``fill_completion``, ``fill_source`` and ``f_start`` bound;
     the caller derives the issue stall from ``f_start - {now}``. The
-    caller has drained at ``{now}``; ``{prefetch}`` is the literal
-    ``True`` (a non-temporal prefetch fill) or ``False`` (a demand fill).
+    caller has drained at ``{now}``; ``{non_temporal}`` and
+    ``{is_prefetch}`` are the literals ``True`` or ``False``: a demand
+    fill sets neither, ``PREFETCHNTA`` both, and the speculative fill of
+    a predicted load only ``is_prefetch``.
     """
     return f"""\
 f_start = {now}
@@ -154,10 +181,10 @@ if pool:
     f_req.issue_cycle = f_start
     f_req.completion_cycle = fill_completion
     f_req.source_level = fill_source
-    f_req.non_temporal = {prefetch}
-    f_req.is_prefetch = {prefetch}
+    f_req.non_temporal = {non_temporal}
+    f_req.is_prefetch = {is_prefetch}
 else:
-    f_req = FillRequest({line}, f_start, fill_completion, fill_source, {prefetch}, {prefetch})
+    f_req = FillRequest({line}, f_start, fill_completion, fill_source, {non_temporal}, {is_prefetch})
 in_flight[{line}] = f_req
 heappush(heap, (fill_completion, seq, {line}))
 seq += 1
@@ -176,16 +203,34 @@ if f_start > clock:
     clock = f_start"""
 
 
-def _translate_src() -> str:
+def _translate_src(index: str = "a", now: str = "clock", charged: bool = True) -> str:
     """DTLB probe + STLB probe + page walk (``Tlb.translate`` inlined).
 
-    Binds ``t_ways`` to the DTLB set for ``vpn``; in the walk path the
-    re-install checks of the live code are dropped because ``vpn`` is
-    provably absent (the DTLB pop missed without mutating, the STLB pop
-    returned a miss, and PTE cache traffic never touches the TLBs).
+    Translates ``vpns[{index}]`` at cycle ``{now}``. Binds ``t_ways`` to
+    the DTLB set for ``vpn``; in the walk path the re-install checks of
+    the live code are dropped because ``vpn`` is provably absent (the
+    DTLB pop missed without mutating, the STLB pop returned a miss, and
+    PTE cache traffic never touches the TLBs). ``charged`` adds the
+    engine's stall charge (``ExecutionEngine._translate``); without it
+    this is the shadow translation of a speculatively issued load, which
+    updates TLB and cache state but overlaps the current stall.
     """
+    stlb_charge = walk_charge = walk_l1_charge = translation_charge = ""
+    if charged:
+        stlb_charge = """
+        translation_stall += stlb_latency
+        clock += stlb_latency"""
+        walk_l1_charge = """
+            w_charged = walk_l1_charged"""
+        walk_charge = """
+            w_charged = w_cycles - ooo_hide
+            if w_charged < walk_base:
+                w_charged = walk_base"""
+        translation_charge = """
+        translation_stall += w_charged
+        clock += w_charged"""
     return f"""\
-vpn = vpns[a]
+vpn = vpns[{index}]
 t_ways = dtlb_sets[vpn % dtlb_n]
 if t_ways.pop(vpn, 0) is None:
     t_ways[vpn] = None
@@ -199,20 +244,17 @@ else:
             for t_evict in t_ways:
                 break
             del t_ways[t_evict]
-        t_ways[vpn] = None
-        translation_stall += stlb_latency
-        clock += stlb_latency
+        t_ways[vpn] = None{stlb_charge}
     else:
-        probe_at = clock + walk_base
-        pte_line = pte_lines[a]
+        probe_at = {now} + walk_base
+        pte_line = pte_lines[{index}]
 {indent(_drain_src("probe_at"), " " * 8)}
         w_ways = l1_sets[pte_line % l1_n]
         if w_ways.pop(pte_line, 0) is None:
             w_ways[pte_line] = None
             l1_hits += 1
             walks_by_level["PW-L1"] = walks_by_level.get("PW-L1", 0) + 1
-            walk_cycles_delta += walk_l1_cycles
-            w_charged = walk_l1_charged
+            walk_cycles_delta += walk_l1_cycles{walk_l1_charge}
         else:
             l1_misses += 1
             w_req = in_flight.get(pte_line)
@@ -223,16 +265,13 @@ else:
                 w_ready = w_c if w_c > probe_at else probe_at
                 w_level = w_req.source_level
             else:
-{indent(_start_fill_src("pte_line", "probe_at", "False"), " " * 16)}
+{indent(_start_fill_src("pte_line", "probe_at", "False", "False"), " " * 16)}
                 w_ready = fill_completion
                 w_level = fill_source
             w_cycles = walk_base + (w_ready - probe_at)
             w_bucket = "PW-" + w_level
             walks_by_level[w_bucket] = walks_by_level.get(w_bucket, 0) + 1
-            walk_cycles_delta += w_cycles
-            w_charged = w_cycles - ooo_hide
-            if w_charged < walk_base:
-                w_charged = walk_base
+            walk_cycles_delta += w_cycles{walk_charge}
         if LEN(w_stlb) >= stlb_a:
             for w_evict in w_stlb:
                 break
@@ -242,9 +281,7 @@ else:
             for t_evict in t_ways:
                 break
             del t_ways[t_evict]
-        t_ways[vpn] = None
-        translation_stall += w_charged
-        clock += w_charged"""
+        t_ways[vpn] = None{translation_charge}"""
 
 
 def _kernel_src() -> str:
@@ -256,9 +293,11 @@ def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
            l1_n, l1_a, l1_tail, l2_n, l2_a, l2_latency, l3_n, l3_a, l3_latency,
            dram_latency, dtlb_n, dtlb_a, stlb_n, stlb_a, stlb_latency,
            lfb_capacity, ooo_hide, walk_base, walk_l1_cycles, walk_l1_charged,
-           prefetch_advance,
+           prefetch_advance, l1_latency, ooo_hide_spec, spec_delay,
+           mispredict_penalty, choice,
            INF=float("inf"), heappush=heappush, heappop=heappop,
-           BYSEQ=itemgetter(1), LEN=len, FillRequest=FillRequest):
+           BYSEQ=itemgetter(1), LEN=len, FillRequest=FillRequest,
+           CANDIDATES=(1, 2)):
     occ = LEN(in_flight)
     pool = []
     exposed_stall = translation_stall = lfb_stall = 0
@@ -269,6 +308,8 @@ def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
     fills_issued = acquire_stall = 0
     loads_l1 = loads_lfb = loads_l2 = loads_l3 = loads_dram = 0
     prefetch_count = prefetch_useless = 0
+    branches = mispredicts = 0
+    predicted = -1  # line the pending branch prediction fetched (-1: none)
     for op, a, advance in rows:
         if advance:
             clock += advance
@@ -296,7 +337,7 @@ def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
                     exposed_stall += exposed
                     clock += exposed
                 continue
-{indent(_start_fill_src("line", "clock", "False"), " " * 12)}
+{indent(_start_fill_src("line", "clock", "False", "False"), " " * 12)}
 {indent(_ISSUE_STALL_SRC, " " * 12)}
             if fill_source == "L2":
                 loads_l2 += 1
@@ -317,8 +358,83 @@ def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
             if line in l1_sets[line % l1_n] or line in in_flight:
                 prefetch_useless += 1
             else:
-{indent(_start_fill_src("line", "clock", "True"), " " * 16)}
+{indent(_start_fill_src("line", "clock", "True", "True"), " " * 16)}
 {indent(_ISSUE_STALL_SRC, " " * 16)}
+        elif op == {OP_SPEC_LOAD}:
+{indent(_translate_src(), " " * 12)}
+            if predicted >= 0:
+                branches += 1
+                if predicted != lines[a]:
+                    mispredicts += 1
+                    clock += mispredict_penalty
+                predicted = -1
+            issued_at = clock
+{indent(_drain_src("clock"), " " * 12)}
+            line = lines[a]
+            ways = l1_sets[line % l1_n]
+            if ways.pop(line, 0) is None:
+                ways[line] = None
+                l1_hits += 1
+                loads_l1 += 1
+                ready = clock + l1_latency
+            else:
+                l1_misses += 1
+                req = in_flight.get(line)
+                if req is not None:
+                    req.non_temporal = False
+                    req.is_prefetch = False
+                    loads_lfb += 1
+                    # Drained at ``clock``: a fill still in flight
+                    # completes after it.
+                    ready = req.completion_cycle
+                else:
+{indent(_start_fill_src("line", "clock", "False", "False"), " " * 20)}
+{indent(_ISSUE_STALL_SRC, " " * 20)}
+                    if fill_source == "L2":
+                        loads_l2 += 1
+                    elif fill_source == "L3":
+                        loads_l3 += 1
+                    else:
+                        loads_dram += 1
+                    ready = fill_completion
+            if lines[a + 1] < 0:
+                exposed = ready - clock - ooo_hide
+            else:
+                spec = a + choice(CANDIDATES)
+                spec_issue = ready - ooo_hide_spec
+                if spec_issue < issued_at:
+                    spec_issue = issued_at
+                elif spec_issue > issued_at + spec_delay:
+                    spec_issue = issued_at + spec_delay
+{indent(_translate_src("spec", "spec_issue", charged=False), " " * 16)}
+{indent(_drain_src("spec_issue"), " " * 16)}
+                line = lines[spec]
+                prefetch_count += 1
+                if line in l1_sets[line % l1_n] or line in in_flight:
+                    prefetch_useless += 1
+                else:
+{indent(_start_fill_src("line", "spec_issue", "False", "True"), " " * 20)}
+                predicted = line
+                exposed = ready - clock - ooo_hide_spec
+            if exposed > 0:
+                exposed_stall += exposed
+                clock += exposed
+        elif op == {OP_PREFETCH_LINES}:
+{indent(_translate_src(), " " * 12)}
+            clock += prefetch_advance
+            line = lines[a]
+            last = lines[a + 1]
+            while True:
+{indent(_drain_src("clock"), " " * 16)}
+                prefetch_count += 1
+                if line in l1_sets[line % l1_n] or line in in_flight:
+                    prefetch_useless += 1
+                else:
+{indent(_start_fill_src("line", "clock", "True", "True"), " " * 20)}
+{indent(_ISSUE_STALL_SRC, " " * 20)}
+                if line == last:
+                    break
+                line += 1
     return (clock, next_completion, peak_occupancy,
             exposed_stall, translation_stall, lfb_stall,
             dtlb_hits, stlb_hits, walk_cycles_delta,
@@ -327,7 +443,7 @@ def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
             l3_hits, l3_misses, l3_installs, l3_evictions,
             fills_issued, acquire_stall,
             loads_l1, loads_lfb, loads_l2, loads_l3, loads_dram,
-            prefetch_count, prefetch_useless)
+            prefetch_count, prefetch_useless, branches, mispredicts)
 """
 
 
@@ -381,7 +497,7 @@ def _replay_rows(engine, rows, addresses, totals: tuple) -> None:
      l3_hits, l3_misses, l3_installs, l3_evictions,
      fills_issued, acquire_stall,
      loads_l1, loads_lfb, loads_l2, loads_l3, loads_dram,
-     prefetch_count, prefetch_useless) = _kernel()(
+     prefetch_count, prefetch_useless, branches, mispredicts) = _kernel()(
         zip(*rows.tolist()),
         (addresses // line_size).tolist(),
         vpns.tolist(),
@@ -410,10 +526,20 @@ def _replay_rows(engine, rows, addresses, totals: tuple) -> None:
             cost.prefetch_issue_cycles, cost.prefetch_issue_instructions,
             cost.issue_width,
         ),
+        l1_latency=l1.latency,
+        ooo_hide_spec=cost.ooo_hide_speculative,
+        spec_delay=cost.spec_issue_delay,
+        mispredict_penalty=cost.mispredict_penalty,
+        choice=engine._rng.choice,
     )
     engine.clock = clock
     tmam = engine.tmam
-    tmam.cycles += clock - entry_clock
+    # Mispredict penalties are on the clock already; charge_mispredict
+    # books their cycles a second time, so take them off the advance.
+    tmam.cycles += clock - entry_clock - mispredicts * cost.mispredict_penalty
+    tmam.branches += branches
+    for _ in range(mispredicts):
+        tmam.charge_mispredict(cost.mispredict_penalty)
     instructions_total, core_slots_total = totals
     tmam.instructions += instructions_total
     slots = tmam.slots

@@ -41,3 +41,33 @@ class TestCli:
     def test_multiple_experiments(self, capsys):
         assert main(["table5", "table5"]) == 0
         assert capsys.readouterr().out.count("Table 5") == 2
+
+
+class TestProfileVerb:
+    def test_fig8_point_replays(self, capsys):
+        assert main(["profile", "fig8", "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "measure_query" in out and "staged schedules:" in out
+        assert "generator fallbacks" not in out
+
+    def test_fallbacks_reported_by_reason(self, capsys, monkeypatch):
+        """A profiled point that runs generators says so, and why."""
+        from repro.analysis import experiments
+        from repro.config import HASWELL
+        from repro.indexes.binary_search import binary_search_coro
+        from repro.indexes.sorted_array import int_array_of_bytes
+        from repro.interleaving import BulkLookup, get_executor
+        from repro.sim import ExecutionEngine
+        from repro.sim.allocator import AddressSpaceAllocator
+
+        def opaque_point(*args, **kwargs):
+            table = int_array_of_bytes(AddressSpaceAllocator(), "t", 4_000)
+            job = BulkLookup.stream(
+                lambda value, il: binary_search_coro(table, value, il), [1, 50]
+            )
+            return get_executor("CORO").run(job, ExecutionEngine(HASWELL))
+
+        monkeypatch.setattr(experiments, "measure_query", opaque_point)
+        assert main(["profile", "fig8", "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "generator fallbacks: 1 (workload_kind=1)" in out

@@ -1,7 +1,7 @@
 """Golden equivalence for staged-schedule replay on the default path.
 
-``Baseline``, ``GP``, ``AMAC``, ``CORO`` and ``sequential`` replay a
-staged schedule (:mod:`repro.interleaving.compiled`) whenever a job
+``std``, ``Baseline``, ``GP``, ``AMAC``, ``CORO`` and ``sequential``
+replay a staged schedule (:mod:`repro.interleaving.compiled`) whenever a job
 compiles, instead of driving Python generators, and the whole
 correctness contract of that replay is *bit identity*: at the pinned
 16 MB golden points every technique reproduces the cycle count of
@@ -39,8 +39,9 @@ from repro.sim import ExecutionEngine
 from repro.sim.allocator import AddressSpaceAllocator
 
 #: The pinned golden numbers (identical to test_golden_numbers.py) for
-#: every paper technique that replays. ``std`` stays generator-only.
+#: every paper technique, all of which replay.
 GOLDEN_CYCLES_PER_SEARCH = {
+    "std": 856.765625,
     "Baseline": 978.515625,
     "GP": 767.609375,
     "AMAC": 1236.5625,
@@ -48,7 +49,7 @@ GOLDEN_CYCLES_PER_SEARCH = {
 }
 
 #: Every executor that carries a staged schedule.
-REPLAYING = ("AMAC", "Baseline", "CORO", "GP", "sequential")
+REPLAYING = ("AMAC", "Baseline", "CORO", "GP", "sequential", "std")
 
 SIZE_BYTES = 16 << 20
 N_LOOKUPS = 64
@@ -166,8 +167,7 @@ class TestCompiledFallbacks:
     def test_generator_only_executors_count_nothing(self):
         tasks = BulkLookup.sorted_array(small_array(), [3, 99, 4_000])
         reset_compiled_stats()
-        for name in ("std", "SPP"):
-            get_executor(name).run(tasks, ExecutionEngine(HASWELL))
+        get_executor("SPP").run(tasks, ExecutionEngine(HASWELL))
         stats = compiled_stats()
         assert stats["replays"] == 0 and stats["fallbacks"] == 0
 

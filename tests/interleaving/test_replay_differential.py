@@ -1,14 +1,23 @@
 """Differential property test: staged-schedule replay vs generators.
 
-Every registry executor that carries a staged schedule (``Baseline``,
-``GP``, ``AMAC``, ``CORO``, ``sequential``) replays it whenever a job
-compiles. Hypothesis draws the job and the machine — architecture
-(Haswell or a ``scaled(k)`` hierarchy), line-fill-buffer count, table
-size (1–3 elements and odd sizes included), int or string tables,
-element sizes that straddle cache lines, group size, and 0–64 inputs —
-and the default path must equal the generator reference on a fresh
-engine: results, ``engine.clock`` and the whole
+Every registry executor that carries a staged schedule (``std``,
+``Baseline``, ``GP``, ``AMAC``, ``CORO``, ``sequential``) replays it
+whenever a job compiles. Hypothesis draws the job and the machine —
+architecture (Haswell or a ``scaled(k)`` hierarchy), line-fill-buffer
+count, table size (1–3 elements and odd sizes included), int or string
+tables, element sizes that straddle cache lines, group size, and 0–64
+inputs — and the default path must equal the generator reference on a
+fresh engine: results, ``engine.clock`` and the whole
 ``engine.metrics.snapshot()`` tree.
+
+Dictionary ``locate`` jobs replay under ``sequential`` and ``CORO``:
+Main dictionaries (int and string, implicit and materialized) through
+the sorted-array recurrence, with the speculative branchy search when
+sequential, and Delta dictionaries (implicit and materialized CSB+-tree)
+by draining each key's stream. Those draws, and ``std`` jobs, also vary
+the engine's seed and start it cold, warm (a settled warm-up run) or
+mid-flight (a warm-up run with fills still in flight), and the engine's
+RNG state must match the reference too.
 
 Jobs that can not compile (depth-0 tables, elements that can straddle a
 cache line, tracer-on engines, engine subclasses, ablation
@@ -20,7 +29,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.columnstore.dictionary import DeltaDictionary, MainDictionary
 from repro.config import HASWELL, scaled
+from repro.errors import SimulationError
 from repro.indexes.sorted_array import (
     SortedIntArray,
     int_array_of_bytes,
@@ -33,6 +44,7 @@ from repro.interleaving import (
     compiled_stats,
     get_executor,
     reset_compiled_stats,
+    run_interleaved,
 )
 from repro.interleaving.compiled import _generators_only
 from repro.obs.spans import SpanRecorder
@@ -40,7 +52,7 @@ from repro.sim import ExecutionEngine
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.workloads.strings import index_to_key
 
-REPLAYING = ("Baseline", "GP", "AMAC", "CORO", "sequential")
+REPLAYING = ("std", "Baseline", "GP", "AMAC", "CORO", "sequential")
 
 #: Haswell plus hierarchies shrunk so small tables miss every level.
 ARCHES = (HASWELL, scaled(2), scaled(8), scaled(64))
@@ -139,6 +151,154 @@ class TestReplayMatchesGenerators:
         assert stats["replays"] == int(bool(tasks.inputs) and not fallbacks)
 
 
+def _dictionary(store: str, size: int, seed: int):
+    """A Main or Delta dictionary of ``size`` values, and its key maker.
+
+    The key maker turns a raw draw into a lookup value; about half the
+    values it makes are absent from the dictionary.
+    """
+    allocator = AddressSpaceAllocator()
+    if store == "main-string":
+        dictionary = MainDictionary.implicit_string(allocator, "d", size * 16)
+    elif store == "main-strings":  # materialized, every third key
+        values = [index_to_key(i * 3) for i in range(size)]
+        dictionary = MainDictionary.from_string_values(allocator, "d", values)
+    elif store == "main-implicit":
+        dictionary = MainDictionary.implicit(allocator, "d", size * 4)
+    elif store == "delta-implicit":
+        dictionary = DeltaDictionary.implicit(allocator, "d", size * 4)
+    else:  # materialized: distinct values with gaps, in scrambled order
+        values = list(
+            dict.fromkeys((seed * 7 + i * 13) % (4 * size + 1) for i in range(size))
+        )
+        store_cls = MainDictionary if store == "main-values" else DeltaDictionary
+        dictionary = store_cls.from_values(allocator, "d", values)
+    span = 2 * (4 * size + 1)
+    if store.startswith("main-string"):
+        return dictionary, lambda raw: index_to_key(raw % span)
+    return dictionary, lambda raw: raw % span - 1
+
+
+def _engine(arch, seed: int, state: str, warm_up) -> ExecutionEngine:
+    """A cold engine, or one ``warm_up`` ran on — settled, or mid-flight."""
+    engine = ExecutionEngine(arch, seed=seed)
+    if state != "cold":
+        with _generators_only():
+            warm_up(engine)
+        if state == "warm":
+            engine.settle()
+    return engine
+
+
+def _engine_state(engine) -> tuple:
+    return engine.clock, engine.metrics.snapshot(), engine._rng.getstate()
+
+
+locate_jobs = st.fixed_dictionaries(
+    {
+        "technique": st.sampled_from(("sequential", "CORO")),
+        "store": st.sampled_from(
+            (
+                "main-implicit", "main-string", "main-strings", "main-values",
+                "delta-implicit", "delta-values",
+            )
+        ),
+        "arch": st.sampled_from(ARCHES),
+        "lfbs": st.integers(1, 12),
+        "size": st.one_of(st.integers(1, 3), st.integers(1, 3_000)),
+        "group_size": st.integers(1, 16),
+        "state": st.sampled_from(("cold", "warm", "mid-flight")),
+        "seed": st.integers(0, 2**32 - 1),
+        "raw": st.lists(st.integers(0, 1 << 30), max_size=48),
+    }
+)
+
+
+class TestLocateReplayMatchesGenerators:
+    """Dictionary locates and ``std`` searches replay bit-identically."""
+
+    @staticmethod
+    def _compare(executor, make_tasks, arch, group_size, seed, state):
+        """Replay vs reference, both from one engine state; stats of replay."""
+        warm = make_tasks(warm=True)
+        tasks = make_tasks(warm=False)
+
+        def warm_up(engine):
+            executor.run(warm, engine, group_size=group_size)
+
+        reference = _engine(arch, seed, state, warm_up)
+        with _generators_only():
+            expected = executor.run(tasks, reference, group_size=group_size)
+        reset_compiled_stats()
+        replayed = _engine(arch, seed, state, warm_up)
+        got = executor.run(tasks, replayed, group_size=group_size)
+        stats = compiled_stats()
+        assert got == expected
+        assert _engine_state(replayed) == _engine_state(reference)
+        return tasks, expected, stats
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(job=locate_jobs)
+    @example(
+        job={
+            "technique": "CORO", "store": "delta-implicit", "arch": HASWELL,
+            "lfbs": 10, "size": 2_500, "group_size": 6, "state": "mid-flight",
+            "seed": 0, "raw": list(range(0, 48 * 997, 997)),
+        }
+    )
+    @example(
+        job={
+            "technique": "sequential", "store": "main-implicit", "arch": scaled(64),
+            "lfbs": 2, "size": 3_000, "group_size": 1, "state": "warm",
+            "seed": 7, "raw": list(range(0, 48 * 211, 211)),
+        }
+    )
+    def test_locate_equals_generator_reference(self, job):
+        arch = job["arch"].replace(n_line_fill_buffers=job["lfbs"])
+        dictionary, key_of = _dictionary(job["store"], job["size"], len(job["raw"]))
+
+        def make_tasks(warm):
+            raw = [value // 3 + 17 for value in job["raw"]] if warm else job["raw"]
+            return BulkLookup.locate(dictionary, [key_of(value) for value in raw])
+
+        tasks, expected, stats = self._compare(
+            get_executor(job["technique"]), make_tasks, arch,
+            job["group_size"], job["seed"], job["state"],
+        )
+        assert expected == [dictionary.locate(value) for value in tasks.inputs]
+        assert stats["fallbacks"] == 0
+        assert stats["replays"] == int(bool(tasks.inputs))
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        job=jobs,
+        seed=st.integers(0, 2**32 - 1),
+        state=st.sampled_from(("cold", "warm", "mid-flight")),
+    )
+    def test_std_equals_generator_reference(self, job, seed, state):
+        arch = job["arch"].replace(n_line_fill_buffers=job["lfbs"])
+        table = _table(job["kind"], job["size"], job["element_size"], len(job["raw"]))
+
+        def make_tasks(warm):
+            raw = [value // 5 + 3 for value in job["raw"]] if warm else job["raw"]
+            return BulkLookup.sorted_array(table, _keys(job["kind"], job["size"], raw))
+
+        tasks, _expected, stats = self._compare(
+            get_executor("std"), make_tasks, arch, job["group_size"], seed, state
+        )
+        straddles = job["kind"] != "string" and job["element_size"] in (12, 24)
+        compiles = job["size"] > 1 and not straddles
+        assert stats["replays"] == int(bool(tasks.inputs) and compiles)
+
+
 def _small_tasks(size: int = 1_000) -> BulkLookup:
     table = int_array_of_bytes(AddressSpaceAllocator(), "t", size * 4)
     return BulkLookup.sorted_array(table, [0, 7, size // 2, size - 1, size + 5])
@@ -214,6 +374,90 @@ class TestFallbackReasons:
             lambda value, il: binary_search_coro(table, value, il), [1, 50, 999]
         )
         self._assert_fallback(lambda: get_executor(name), tasks, "workload_kind")
+
+    def test_stream_reading_its_events_stays_on_generators(self):
+        """An opaque stream may branch on an event's outcome, so it can not
+        be drained: Section 6's conditional suspension suspends only when
+        its prefetch answers "not cached". The ablation's default
+        ``CoroExecutor`` must keep running it live, exactly as
+        ``run_interleaved`` does."""
+        from repro.indexes.binary_search import binary_search_coro_conditional
+
+        table = int_array_of_bytes(AddressSpaceAllocator(), "t", 64 << 10)
+
+        def factory(value, interleave):
+            return binary_search_coro_conditional(table, value, interleave)
+
+        # Repeated values find their probe lines cached the second time.
+        values = [7, 9_000, 7, 123, 9_000, 16_000, 123, 7]
+        expected_engine = ExecutionEngine(HASWELL)
+        expected = run_interleaved(expected_engine, factory, values, 3)
+        reset_compiled_stats()
+        engine = ExecutionEngine(HASWELL)
+        got = CoroExecutor().run(BulkLookup.stream(factory, values), engine, group_size=3)
+        stats = compiled_stats()
+        assert got == expected
+        assert engine.clock == expected_engine.clock
+        assert engine.metrics.snapshot() == expected_engine.metrics.snapshot()
+        assert engine.memory.stats.prefetch_useless  # some answers were "cached"
+        assert stats["replays"] == 0
+        assert stats["fallbacks_by_reason"] == {"workload_kind": 1}
+
+
+class TestStagingValidation:
+    """The first replay of a (technique, model, group size) checks the
+    staged ops against the executor's recorded generator trace, and any
+    difference is a hard error, never a silently wrong replay."""
+
+    @pytest.fixture(autouse=True)
+    def _unvalidated(self, monkeypatch):
+        from repro.interleaving import compiled
+
+        monkeypatch.setattr(compiled, "_VALIDATED", set())
+        return compiled
+
+    def _run(self, name, tasks):
+        get_executor(name).run(tasks, ExecutionEngine(HASWELL), group_size=3)
+
+    def _main(self):
+        dictionary = MainDictionary.implicit(AddressSpaceAllocator(), "d", 4_000)
+        return BulkLookup.locate(dictionary, [0, 7, 500, 999, 1_005])
+
+    def test_faithful_schedules_pass(self, _unvalidated):
+        delta = DeltaDictionary.implicit(AddressSpaceAllocator(), "d", 16_000)
+        for name, tasks in (
+            ("sequential", self._main()),
+            ("CORO", self._main()),
+            ("std", _small_tasks()),
+            ("CORO", BulkLookup.locate(delta, [0, 5, 3_999, 4_001])),
+        ):
+            self._run(name, tasks)
+        assert len(_unvalidated._VALIDATED) == 4
+
+    def test_wrong_compute_charge_raises(self, _unvalidated, monkeypatch):
+        monkeypatch.setattr(_unvalidated, "EXACT_MATCH_COST", (3, 2))
+        with pytest.raises(SimulationError, match="does not reproduce"):
+            self._run("CORO", self._main())
+
+    def test_wrong_prediction_raises(self, _unvalidated, monkeypatch):
+        """Swapped successors: same addresses, wrong ``spec_next``."""
+        probes = _unvalidated._SearchModel._identity_probes
+
+        def swapped(model, halves, successors):
+            addresses, results = probes(model, halves, successors)
+            block = addresses.reshape(len(model.values), model.stride).copy()
+            block[:, 1::3], block[:, 2::3] = block[:, 2::3].copy(), block[:, 1::3].copy()
+            return block.ravel(), results
+
+        monkeypatch.setattr(_unvalidated._SearchModel, "_identity_probes", swapped)
+        with pytest.raises(SimulationError, match="does not reproduce"):
+            self._run("sequential", self._main())
+
+    def test_wrong_interleave_rule_raises(self, _unvalidated, monkeypatch):
+        delta = DeltaDictionary.implicit(AddressSpaceAllocator(), "d", 16_000)
+        monkeypatch.setitem(_unvalidated._RULES, "coro", _unvalidated._rule_sequential)
+        with pytest.raises(SimulationError, match="does not reproduce"):
+            self._run("CORO", BulkLookup.locate(delta, [0, 5, 3_999, 4_001]))
 
 
 class TestScheduleMemo:

@@ -3,9 +3,12 @@
 A cached sweep point stays valid only while no source that shapes its
 result changes, so :data:`repro.perf.FINGERPRINT_PATHS` must cover every
 ``repro`` module that a cached point function pulls in. Each function is
-imported in a fresh interpreter, and every ``repro`` module loaded then
-must lie under a fingerprinted path, under ``repro/perf/`` (how points
-are scheduled, never what they compute), or in the allowlist below.
+imported in a fresh interpreter, together with every module an
+``import`` statement in its body names (point functions import some
+layers lazily, to break import cycles), and every ``repro`` module
+loaded then must lie under a fingerprinted path, under ``repro/perf/``
+(how points are scheduled, never what they compute), or in the
+allowlist below.
 """
 
 import json
@@ -41,9 +44,24 @@ ALLOWLIST = {
 }
 
 _PROBE = """
-import importlib, json, pathlib, sys
+import ast, importlib, importlib.util, inspect, json, pathlib, sys, textwrap
 module, name = sys.argv[1].split(":")
-getattr(importlib.import_module(module), name)
+function = getattr(importlib.import_module(module), name)
+# The function body's own imports: what calling it would load lazily.
+body = ast.parse(textwrap.dedent(inspect.getsource(function)))
+for node in ast.walk(body):
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            importlib.import_module(alias.name)
+    elif isinstance(node, ast.ImportFrom):
+        package = function.__module__.rpartition(".")[0]
+        base = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+        importlib.import_module(base)
+        for alias in node.names:
+            try:  # "from package import submodule" loads the submodule
+                importlib.import_module(base + "." + alias.name)
+            except ImportError:
+                pass
 import repro
 root = pathlib.Path(repro.__file__).resolve().parent
 print(json.dumps(sorted(

@@ -5,7 +5,10 @@ and software prefetches through one generated kernel. Issuing the same
 stream one event at a time through ``compute`` / ``execute_load`` /
 ``execute_prefetch`` on a twin engine must leave both machines equal:
 clock, the whole ``metrics.snapshot()`` tree, cache and TLB contents in
-LRU order, and the fills still in flight.
+LRU order, the fills still in flight, and the engine's RNG. The stream
+mixes every row kind: single-line loads and prefetches, speculative
+loads (``Load`` with ``spec_next`` on one stream context, or without it
+to resolve the pending prediction) and ``PREFETCHNTA`` of several lines.
 
 Hypothesis draws the machine (Haswell or a ``scaled(k)`` hierarchy,
 1–12 line-fill buffers, 0–800 extra DRAM cycles), a live prefix that
@@ -24,10 +27,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import HASWELL, scaled
-from repro.sim import ExecutionEngine
+from repro.sim import ExecutionEngine, StreamContext
 from repro.sim import replay
 from repro.sim.events import Load, Prefetch
-from repro.sim.replay import OP_COMPUTE, OP_LOAD, OP_PREFETCH, _advance
+from repro.sim.replay import (
+    NO_PREDICTION,
+    OP_COMPUTE,
+    OP_LOAD,
+    OP_PREFETCH,
+    OP_PREFETCH_LINES,
+    OP_SPEC_LOAD,
+    _advance,
+)
 
 ARCHES = (HASWELL, scaled(2), scaled(8), scaled(64))
 
@@ -62,11 +73,17 @@ compute = st.tuples(
 #: their own prefetches in flight and walks meet in-flight PTE fills.
 HOT = [_at(page, offset) for page in (0, 24) for offset in range(len(OFFSETS))]
 
-access = st.tuples(
-    st.sampled_from(("L", "P")),
-    st.one_of(st.integers(0, len(POOL) - 1), st.sampled_from(HOT)),
+pool_index = st.one_of(st.integers(0, len(POOL) - 1), st.sampled_from(HOT))
+access = st.tuples(st.sampled_from(("L", "P")), pool_index)
+#: A branchy-search load: its predicted successors, or None (resolve only).
+speculative = st.tuples(
+    st.just("S"), pool_index, st.one_of(st.none(), st.tuples(pool_index, pool_index))
 )
-streams = st.lists(st.one_of(compute, access, access), max_size=200)
+#: A prefetch of several lines (a CSB+-tree node, or one crossing a page).
+multi_line = st.tuples(st.just("M"), pool_index, st.sampled_from((65, 128, 256, 300)))
+streams = st.lists(
+    st.one_of(compute, access, access, speculative, multi_line), max_size=200
+)
 
 #: Rare interleavings, pinned. A prefix that leaves page 0's line only
 #: in L3 (nine later lines evict it from the 8-way L1 and L2 sets) ...
@@ -79,14 +96,30 @@ _PTE_IN_L1 = [("L", _at(0)), ("C", 400, 8, True), ("L", _at(24, 2))]
 #: A demand load merging into its own prefetch, and a walk whose leaf
 #: PTE is still in flight for the neighbour's walk.
 _IN_FLIGHT = [("P", _at(2)), ("L", _at(2)), ("P", _at(0)), ("P", _at(24, 1))]
+#: A branchy search: a prediction that comes true (the next load merges
+#: into the speculative fill), one that does not, and the last load,
+#: which only resolves; then a node prefetch over lines already fetched.
+_BRANCHY = [
+    ("S", _at(0), (_at(1), _at(1))),
+    ("S", _at(1), (_at(2), _at(3))),
+    ("C", 40, 8, False),
+    ("S", _at(4), None),
+    ("M", _at(1), 256),
+]
 
 
 def _lower(ops, cost) -> tuple:
-    """``ops`` as an ``execute_rows`` stream: row array and static totals."""
+    """``ops`` as an ``execute_rows`` stream: rows, addresses, static totals.
+
+    Speculative loads and multi-line prefetches index address slots
+    appended after ``POOL``: the load and its two predicted successors
+    (or ``NO_PREDICTION``), the prefetch's first and last byte.
+    """
     issue_width = cost.issue_width
     prefetch_advance = _advance(
         cost.prefetch_issue_cycles, cost.prefetch_issue_instructions, issue_width
     )
+    addresses = list(POOL)
     columns: list = []
     pending = instructions = advance_total = 0
     for op in ops:
@@ -101,25 +134,43 @@ def _lower(ops, cost) -> tuple:
             else:
                 pending += step
             continue
-        opcode = OP_LOAD if op[0] == "L" else OP_PREFETCH
-        columns.append((opcode, op[1], pending))
+        if op[0] == "S":
+            columns.append((OP_SPEC_LOAD, len(addresses), pending))
+            successors = op[2]
+            addresses.append(POOL[op[1]])
+            addresses.extend(
+                (NO_PREDICTION, NO_PREDICTION)
+                if successors is None
+                else (POOL[successors[0]], POOL[successors[1]])
+            )
+        elif op[0] == "M":
+            columns.append((OP_PREFETCH_LINES, len(addresses), pending))
+            addresses.extend((POOL[op[1]], POOL[op[1]] + op[2] - 1))
+        else:
+            columns.append((OP_LOAD if op[0] == "L" else OP_PREFETCH, op[1], pending))
         pending = 0
-        if opcode == OP_PREFETCH:
+        if op[0] in ("P", "M"):
             instructions += cost.prefetch_issue_instructions
             advance_total += prefetch_advance
     if pending:
         columns.append((OP_COMPUTE, 0, pending))
     rows = np.array(list(zip(*columns)) or [[], [], []], dtype=np.int64)
-    return rows, (instructions, issue_width * advance_total - instructions)
+    return rows, addresses, (instructions, issue_width * advance_total - instructions)
 
 
 def _live(engine, ops) -> None:
-    """Issue ``ops`` one event at a time."""
+    """Issue ``ops`` one event at a time; speculative loads share a context."""
+    ctx = StreamContext()
     for op in ops:
         if op[0] == "C":
             engine.compute(op[1], op[2])
         elif op[0] == "L":
             engine.execute_load(Load(POOL[op[1]], ACCESS_SIZE))
+        elif op[0] == "S":
+            successors = op[2] and (POOL[op[2][0]], POOL[op[2][1]])
+            engine.execute_load(Load(POOL[op[1]], ACCESS_SIZE, spec_next=successors), ctx)
+        elif op[0] == "M":
+            engine.execute_prefetch(Prefetch(POOL[op[1]], op[2]))
         else:
             engine.execute_prefetch(Prefetch(POOL[op[1]], ACCESS_SIZE))
 
@@ -138,12 +189,13 @@ def _state(engine) -> tuple:
             for r in memory.lfbs._in_flight.values()
         ],
         memory.lfbs._next_completion,
+        engine._rng.getstate(),
     )
 
 
-def _twins(arch, prefix, extra_dram_latency=0, shrink=None) -> tuple:
+def _twins(arch, prefix, extra_dram_latency=0, shrink=None, seed=0) -> tuple:
     """Two engines in the same state: ``prefix`` run live, then faults."""
-    engines = (ExecutionEngine(arch), ExecutionEngine(arch))
+    engines = (ExecutionEngine(arch, seed=seed), ExecutionEngine(arch, seed=seed))
     for engine in engines:
         _live(engine, prefix)
         memory = engine.memory
@@ -167,32 +219,44 @@ class TestKernelMatchesLiveEngine:
         prefix=st.lists(st.one_of(compute, access, access), max_size=60),
         shrink=st.one_of(st.none(), st.integers(0, 11)),
         ops=streams,
+        seed=st.integers(0, 2**32 - 1),
     )
     @example(
         arch=HASWELL, lfbs=10, extra_dram_latency=0, prefix=_L3_ONLY,
-        shrink=None, ops=_ONE_DRAIN,
+        shrink=None, ops=_ONE_DRAIN, seed=0,
     )
     @example(
         arch=HASWELL, lfbs=10, extra_dram_latency=0, prefix=[], shrink=None,
-        ops=_PTE_IN_L1,
+        ops=_PTE_IN_L1, seed=0,
     )
     @example(
         arch=HASWELL, lfbs=10, extra_dram_latency=0, prefix=[], shrink=None,
-        ops=_IN_FLIGHT,
+        ops=_IN_FLIGHT, seed=0,
     )
     @example(
         arch=scaled(8), lfbs=6, extra_dram_latency=400,
         prefix=[("P", _at(page, 1)) for page in range(6)], shrink=3,
         ops=[("P", _at(page, 2)) for page in range(6)] + [("L", _at(0, 1))],
+        seed=0,
+    )
+    @example(
+        arch=HASWELL, lfbs=10, extra_dram_latency=0, prefix=[], shrink=None,
+        ops=_BRANCHY, seed=1,
+    )
+    @example(  # speculative and node fills wait for a buffer
+        arch=scaled(8), lfbs=2, extra_dram_latency=300,
+        prefix=[("P", _at(page, 1)) for page in range(4)], shrink=0,
+        ops=_BRANCHY + [("M", _at(page)) + (300,) for page in range(5, 8)],
+        seed=3,
     )
     def test_execute_rows_equals_event_by_event(
-        self, arch, lfbs, extra_dram_latency, prefix, shrink, ops
+        self, arch, lfbs, extra_dram_latency, prefix, shrink, ops, seed
     ):
         arch = arch.replace(n_line_fill_buffers=lfbs)
-        batch, live = _twins(arch, prefix, extra_dram_latency, shrink)
+        batch, live = _twins(arch, prefix, extra_dram_latency, shrink, seed)
         assert _state(batch) == _state(live)
-        rows, totals = _lower(ops, arch.cost)
-        batch.execute_rows(rows, POOL, totals)
+        rows, addresses, totals = _lower(ops, arch.cost)
+        batch.execute_rows(rows, addresses, totals)
         _live(live, ops)
         assert _state(batch) == _state(live)
 
@@ -212,8 +276,8 @@ class TestKernelMatchesLiveEngine:
                 prefetched = chooser.randrange(len(POOL))
                 ops.append(("P", prefetched))
         engine = ExecutionEngine(HASWELL)
-        rows, totals = _lower(ops, HASWELL.cost)
-        engine.execute_rows(rows, POOL, totals)
+        rows, addresses, totals = _lower(ops, HASWELL.cost)
+        engine.execute_rows(rows, addresses, totals)
         metrics = engine.metrics.snapshot()
         assert all(metrics["memory"]["loads_by_level"].values())
         assert all(metrics["cache"][level]["evictions"] for level in ("l1", "l2", "l3"))
@@ -222,12 +286,36 @@ class TestKernelMatchesLiveEngine:
             "PW-L1", "PW-L2", "PW-L3", "PW-DRAM"
         }
 
+    def test_speculation_reaches_both_outcomes(self):
+        """Branchy searches over the pool predict right and wrong, merge
+        demand loads into speculative fills, and stall on full buffers."""
+        chooser = random.Random(11)
+        ops = []
+        for _ in range(40):  # searches of 1-6 loads, successors near the probe
+            probe = chooser.randrange(len(POOL) - 8)
+            for _ in range(chooser.randrange(5)):
+                ops.append(("S", probe, (probe + 1, probe + 4)))
+                probe += chooser.choice((1, 4))
+            ops.append(("S", probe, None))
+            ops.append(("M", chooser.randrange(len(POOL)), 256))
+        arch = HASWELL.replace(n_line_fill_buffers=3)
+        batch, live = _twins(arch, [], seed=5)
+        rows, addresses, totals = _lower(ops, arch.cost)
+        batch.execute_rows(rows, addresses, totals)
+        _live(live, ops)
+        assert _state(batch) == _state(live)
+        tmam = batch.tmam
+        assert 0 < tmam.mispredicts < tmam.branches
+        assert batch.memory.stats.loads_by_level["LFB"]
+        assert batch.memory.stats.prefetch_useless
+        assert batch.memory.lfbs.issue_stall_cycles
+
 
 def test_kernel_is_generated_once_for_every_machine():
     ops = [("P", 0), ("L", 3), ("C", 40, 8, True), ("L", 0)]
     for arch in (HASWELL, scaled(8).replace(n_line_fill_buffers=2)):
         engine = ExecutionEngine(arch)
         engine.memory.extra_dram_latency = 300
-        rows, totals = _lower(ops, arch.cost)
-        engine.execute_rows(rows, POOL, totals)
+        rows, addresses, totals = _lower(ops, arch.cost)
+        engine.execute_rows(rows, addresses, totals)
     assert replay._kernel.cache_info().misses == 1
