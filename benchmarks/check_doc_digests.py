@@ -14,7 +14,9 @@ hashed the way the harness hashes it (sha256 of its canonical JSON:
 ``repro.query/1`` output of ``python -m repro plan --json`` for the Main
 and Delta stores under the ``sequential`` and ``interleaved`` encode
 strategies, plus one Delta ``interleaved`` run in 24-key probe batches
-(21 small locate batches with fills still in flight between them)::
+(21 small locate batches with fills still in flight between them), and
+the last two over a 1 GiB Delta dictionary (a five-level CSB+-tree whose
+root holds 41 separators, so locates walk its ragged right spine)::
 
     PYTHONPATH=src python benchmarks/check_doc_digests.py             # check all
     PYTHONPATH=src python benchmarks/check_doc_digests.py fig1 serve:quick slo:quick
@@ -53,6 +55,13 @@ PLANS = {
     "delta-interleaved": ("--store", "delta", "--strategy", "interleaved"),
     "delta-interleaved-probe24": (
         "--store", "delta", "--strategy", "interleaved", "--probe-batch", "24",
+    ),
+    "delta-1g-sequential": (
+        "--store", "delta", "--dict-bytes", "1073741824", "--strategy", "sequential",
+    ),
+    "delta-1g-interleaved-probe24": (
+        "--store", "delta", "--dict-bytes", "1073741824",
+        "--strategy", "interleaved", "--probe-batch", "24",
     ),
 }
 

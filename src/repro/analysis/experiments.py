@@ -168,10 +168,9 @@ def warm_llc_resident(memory: MemorySystem, regions) -> None:
     if total > memory.arch.l3.size:
         return
     for region in regions:
-        first = region.base // line
-        last = (region.base + region.size - 1) // line
-        for line_no in range(first, last + 1):
-            memory.l3.install(line_no)
+        memory.l3.install_range(
+            region.base // line, (region.base + region.size - 1) // line + 1
+        )
 
 
 def warmed_engine(

@@ -25,10 +25,16 @@ from repro.errors import ColumnStoreError, KeyNotFoundError
 from repro.indexes.base import INVALID_CODE, SearchableTable
 from repro.indexes.binary_search import (
     DEFAULT_COSTS,
+    EXACT_MATCH_COST,
     SearchCosts,
     locate_stream,
 )
-from repro.indexes.csb_tree import CSBTree, TreeInterface
+from repro.indexes.csb_tree import (
+    ROUTE_COST,
+    SINGLE_CHILD_COST,
+    CSBTree,
+    TreeInterface,
+)
 from repro.indexes.csb_tree_synthetic import ImplicitCSBTree
 from repro.indexes.sorted_array import (
     INT_ELEMENT_SIZE,
@@ -369,7 +375,7 @@ def delta_locate_stream(
         keys = tree.keys_table(node)
         if keys.size == 0:
             child = 0
-            yield Compute(1, 1)
+            yield Compute(*SINGLE_CHILD_COST)
         else:
             low = 0
             size = keys.size
@@ -381,7 +387,7 @@ def delta_locate_stream(
                 if keys.value_at(probe) <= value:
                     low = probe
                 size -= half
-            yield Compute(2, 2)
+            yield Compute(*ROUTE_COST)
             child = low + 1 if keys.value_at(low) <= value else 0
         node = tree.child_of(node, child)
         if interleave:
@@ -412,7 +418,7 @@ def delta_locate_stream(
             low = probe
         size -= half
     code, low_value = yield from compare_at(low)
-    yield Compute(2, 2)
+    yield Compute(*EXACT_MATCH_COST)
     if low_value == value:
         return code
     return INVALID_CODE

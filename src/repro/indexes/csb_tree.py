@@ -30,6 +30,7 @@ from repro.errors import IndexStructureError
 from repro.indexes.base import INVALID_CODE, SearchableTable
 from repro.indexes.binary_search import (
     DEFAULT_COSTS,
+    EXACT_MATCH_COST,
     SearchCosts,
     binary_search_coro,
 )
@@ -42,10 +43,17 @@ __all__ = [
     "CSBTree",
     "csb_lookup_stream",
     "NODE_HEADER_BYTES",
+    "ROUTE_COST",
+    "SINGLE_CHILD_COST",
 ]
 
 #: Per-node header: level, key count, first-child offset, padding.
 NODE_HEADER_BYTES = 16
+
+#: ``(cycles, instructions)`` of picking the child after an inner node's
+#: separator search, and of descending a node with a single child.
+ROUTE_COST = (2, 2)
+SINGLE_CHILD_COST = (1, 1)
 
 
 class TreeInterface(Protocol):
@@ -437,10 +445,10 @@ def csb_insert_stream(
         keys = tree.keys_table(node)
         if keys.size == 0:
             child = 0
-            yield Compute(1, 1)
+            yield Compute(*SINGLE_CHILD_COST)
         else:
             low = yield from binary_search_coro(keys, value, False, costs)
-            yield Compute(2, 2)
+            yield Compute(*ROUTE_COST)
             child = low + 1 if keys.value_at(low) <= value else 0
         node = tree.child_of(node, child)
         if interleave:
@@ -485,10 +493,10 @@ def csb_lookup_stream(
         keys = tree.keys_table(node)
         if keys.size == 0:  # single-child node (tiny trees only)
             child = 0
-            yield Compute(1, 1)
+            yield Compute(*SINGLE_CHILD_COST)
         else:
             low = yield from binary_search_coro(keys, value, False, costs)
-            yield Compute(2, 2)
+            yield Compute(*ROUTE_COST)
             child = low + 1 if keys.value_at(low) <= value else 0
         node = tree.child_of(node, child)
         if interleave:
@@ -499,7 +507,7 @@ def csb_lookup_stream(
         return INVALID_CODE
     low = yield from binary_search_coro(keys, value, False, costs)
     yield Load(tree.leaf_value_address(node, low), 4)
-    yield Compute(2, 2)
+    yield Compute(*EXACT_MATCH_COST)
     if keys.value_at(low) == value:
         return tree.leaf_value(node, low)
     return INVALID_CODE

@@ -85,6 +85,10 @@ class ImplicitCSBTree:
         self.key_size = key_size
         self.value_size = value_size
         self.n_entries = n_entries
+        #: True when every key is its entry number — an implicit Delta's
+        #: tree. The trace-compiled replay path then derives each locate
+        #: from the tree's geometry alone.
+        self.is_identity = value_fn is None
         self._value_fn = value_fn or (lambda entry: entry)
         self._code_fn = code_fn or (lambda entry: entry)
         self.fanout = (node_size - NODE_HEADER_BYTES) // key_size

@@ -19,9 +19,16 @@ module does the Python-simulator equivalent, in two parts:
     one template, and one numpy pass computes the whole probe matrix
     for identity arrays (a pure-Python pass covers arbitrary monotone
     tables). Its schedules are memoized per shape;
-  - :class:`_DrainedModel` covers any other dictionary locate (Delta's
-    CSB+-tree walk): each key's stream runs once, engine-free, and is
-    split at every suspension. Its rows belong to one job.
+  - :class:`_TreeModel` covers integer locates in an implicit Delta
+    dictionary (Delta's CSB+-tree walk with code-dereferencing leaves,
+    on an identity :class:`~repro.indexes.csb_tree_synthetic.
+    ImplicitCSBTree`): one numpy recurrence per depth gives every key's
+    addresses and code from the tree's geometry, and keys fall into at
+    most ``height + 1`` node-shape classes, one segment template each;
+  - :class:`_DrainedModel` covers the locates nothing closed-form does
+    (materialized or non-identity trees, non-integer keys): each key's
+    stream runs once, engine-free, and is split at every suspension.
+  Tree and drained rows belong to one job.
 
 * an **interleave rule** per technique orders the segments:
   ``sequential``, ``Baseline`` and ``std`` run each key's segments back
@@ -29,18 +36,23 @@ module does the Python-simulator equivalent, in two parts:
   count, and GP and AMAC (rewrites for sorted arrays only) step through
   the search depth.
 
-The ordered events are lowered to the ``(opcode, address_index,
-advance)`` rows of :mod:`repro.sim.replay` with consecutive
-straight-line computes pre-merged, plus the schedule's static
-instruction/slot totals, and :meth:`ExecutionEngine.execute_rows
+The events are lowered to the ``(opcode, address_index, advance)`` rows
+of :mod:`repro.sim.replay` with consecutive straight-line computes
+pre-merged, plus the schedule's static instruction/slot totals, and
+:meth:`ExecutionEngine.execute_rows
 <repro.sim.engine.ExecutionEngine.execute_rows>` runs them against the
-live memory system. No generators, no event objects, no dispatch — and
-**bit-identical** cycle counts, search results, counters and engine RNG
-draws. The staging is verified against a real recorded trace: the
-first time a (technique, address model, group size) combination
-replays, the executor's generators run a calibration slice of the job
-under a recording engine, and the schedule must reproduce that event
-stream byte for byte (a mismatch is a hard
+live memory system. Under the segment rules nothing is expanded per
+key: each class's segments are lowered once and *stitched* in the
+rule's order (a search job is one class, a tree job a few, a drained
+job one per key); GP and AMAC lower their expanded ops. No generators,
+no event objects, no dispatch — and **bit-identical** cycle counts,
+search results, counters and engine RNG draws. The staging is verified
+against a real recorded trace: the first time a (technique, address
+model, group size) combination replays a class of keys, the executor's
+generators run a calibration slice of the job (with a key of every
+class it would otherwise lack) under a recording engine, and the
+schedule must reproduce that event stream byte for byte and its
+stitched rows the lowering of those events (a mismatch is a hard
 :class:`~repro.errors.SimulationError`, never a silent wrong answer).
 
 This module owns only the interleaving side: which rows a technique
@@ -78,6 +90,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.indexes.base import INVALID_CODE
 from repro.indexes.binary_search import EXACT_MATCH_COST
+from repro.indexes.csb_tree import NODE_HEADER_BYTES, ROUTE_COST, SINGLE_CHILD_COST
 from repro.sim.engine import ExecutionEngine
 from repro.sim.events import Compute, Load, Prefetch, Suspend
 from repro.sim.replay import (
@@ -203,9 +216,9 @@ def run_staged(executor, tasks, engine, group_size: int) -> list:
 
     ``executor.schedule`` names the interleave rule and
     ``executor._fallback_reason(tasks, engine)`` says why a job can not
-    replay (``None`` when it can); a drained job can still turn out not
-    to compile (an access that straddles a cache line, an event the
-    kernel has no row for). A job that can not runs the executor's
+    replay (``None`` when it can); a tree or drained job can still turn
+    out not to compile (an access that straddles a cache line, an event
+    the kernel has no row for). A job that can not runs the executor's
     generators (``executor._run``), counted as a fallback.
     """
     if _GENERATORS_ONLY or not tasks.inputs:
@@ -218,7 +231,7 @@ def run_staged(executor, tasks, engine, group_size: int) -> list:
     if reason is not None:
         _count_fallback(executor.name, reason)
         return executor._run(tasks, engine, group_size)
-    _validate_staging(executor, tasks, model.kind, group_size, engine.arch)
+    _validate_staging(executor, tasks, model, group_size, engine.arch)
     rows, totals = model.schedule(technique, group_size, engine.cost)
     started = perf_counter()
     addresses, results = model.probes()
@@ -429,14 +442,20 @@ _OPCODES = {
 }
 
 
-def _lower_rows(ops: list, iter_cost: tuple, cost_model) -> tuple:
-    """Lower symbolic ops to a ``(3, n_rows)`` row array + static totals.
+def _lower_pieces(pieces: list, iter_cost: tuple, cost_model) -> tuple:
+    """Lower each op list of ``pieces`` on its own, into one row table.
+
+    Returns ``(rows, start, count, tail, instructions, advance)``: the
+    ``(3, n_rows)`` int32 rows of every piece's memory operations, back
+    to back, and per piece (numpy arrays) its first row, its row count,
+    the pending compute advance after its last row (its *tail*, not
+    emitted as a row), its retired instructions, and its total clock
+    advance (computes and prefetch issue charges).
 
     Instruction retirement and issue-slot accounting are *static* per
     schedule — every compute charge is known at staging time, and the
-    prefetch issue charge is fixed per prefetch row — so they are
-    summed here once into ``(instructions_total, core_slots_total)``
-    instead of being re-accumulated on every replay.
+    prefetch issue charge is fixed per prefetch row — so they are summed
+    here once instead of being re-accumulated on every replay.
     """
     issue_width = cost_model.issue_width
     fixed = {
@@ -458,33 +477,123 @@ def _lower_rows(ops: list, iter_cost: tuple, cost_model) -> tuple:
     opcodes: list = []
     indexes: list = []
     advances: list = []
-    pending_advance = 0
-    instructions_total = 0
-    advance_total = 0
-    for op in ops:
-        opcode = _OPCODES.get(op[0])
-        if opcode is not None:
-            opcodes.append(opcode)
-            indexes.append(op[1])
-            advances.append(pending_advance)
-            pending_advance = 0
-            if opcode == OP_PREFETCH or opcode == OP_PREFETCH_LINES:
-                instructions_total += pf_instructions
-                advance_total += pf_advance
-            continue
-        step = steps.get(op)
-        if step is None:  # ("C", cycles, instructions)
-            step = steps[op] = (_advance(op[1], op[2], issue_width), op[2])
-        pending_advance += step[0]
-        instructions_total += step[1]
-        advance_total += step[0]
-    if pending_advance:
-        opcodes.append(OP_COMPUTE)
-        indexes.append(0)
-        advances.append(pending_advance)
-    core_slots_total = issue_width * advance_total - instructions_total
+    starts: list = []
+    tails: list = []
+    instructions: list = []
+    advance_totals: list = []
+    for ops in pieces:
+        starts.append(len(opcodes))
+        pending_advance = 0
+        instructions_total = 0
+        advance_total = 0
+        for op in ops:
+            opcode = _OPCODES.get(op[0])
+            if opcode is not None:
+                opcodes.append(opcode)
+                indexes.append(op[1])
+                advances.append(pending_advance)
+                pending_advance = 0
+                if opcode == OP_PREFETCH or opcode == OP_PREFETCH_LINES:
+                    instructions_total += pf_instructions
+                    advance_total += pf_advance
+                continue
+            step = steps.get(op)
+            if step is None:  # ("C", cycles, instructions)
+                step = steps[op] = (_advance(op[1], op[2], issue_width), op[2])
+            pending_advance += step[0]
+            instructions_total += step[1]
+            advance_total += step[0]
+        tails.append(pending_advance)
+        instructions.append(instructions_total)
+        advance_totals.append(advance_total)
     rows = np.array([opcodes, indexes, advances], dtype=np.int32)
-    return rows, (instructions_total, core_slots_total)
+    start = np.array(starts, dtype=np.int64)
+    count = np.diff(start, append=len(opcodes))
+    return (
+        rows, start, count, np.array(tails, dtype=np.int64),
+        np.array(instructions, dtype=np.int64), np.array(advance_totals, dtype=np.int64),
+    )
+
+
+def _assemble(lowered: tuple, pieces, bases, issue_width: int) -> tuple:
+    """Rows and totals of lowered pieces run in the order ``pieces``.
+
+    ``bases[j]`` is added to the address indexes of the ``j``-th piece's
+    rows. Each piece's leading row also takes the tails of the pieces
+    since the last one that had rows — the computes that ran in
+    between — and whatever compute is pending at the end becomes the
+    trailing ``OP_COMPUTE`` row: exactly what lowering the pieces' ops
+    concatenated gives, as advances add up independently.
+    """
+    table, start, count, tail, instructions, advance = lowered
+    pieces = np.asarray(pieces, dtype=np.int64)
+    count = count[pieces]
+    ends = np.cumsum(count)
+    begins = ends - count
+    n_rows = int(ends[-1]) if pieces.size else 0
+    rows = table[:, np.arange(n_rows) + np.repeat(start[pieces] - begins, count)]
+    rows[1] += np.repeat(np.asarray(bases, dtype=np.int64), count)
+    tails = np.concatenate(([0], np.cumsum(tail[pieces])))
+    with_rows = np.flatnonzero(count)
+    previous = np.concatenate(([0], with_rows[:-1]))
+    rows[2, begins[with_rows]] += tails[with_rows] - tails[previous]
+    pending = int(tails[-1] - (tails[with_rows[-1]] if with_rows.size else 0))
+    if pending:
+        trailing = np.array([[OP_COMPUTE], [0], [pending]], dtype=np.int32)
+        rows = np.concatenate((rows, trailing), axis=1)
+    instructions_total = int(instructions[pieces].sum())
+    advance_total = int(advance[pieces].sum())
+    return rows, (instructions_total, issue_width * advance_total - instructions_total)
+
+
+def _lower_rows(ops: list, iter_cost: tuple, cost_model) -> tuple:
+    """Lower symbolic ops to a ``(3, n_rows)`` row array + static totals
+    ``(instructions_total, core_slots_total)``."""
+    lowered = _lower_pieces([ops], iter_cost, cost_model)
+    return _assemble(lowered, [0], [0], cost_model.issue_width)
+
+
+# ----------------------------------------------------------------------
+# Stitching: segment rules from per-class templates
+# ----------------------------------------------------------------------
+#
+# Under a segment rule a schedule is a sequence of whole segments plus
+# switch and frame ops. An address model groups its keys into classes
+# whose segments are the same ops up to a per-key offset of the address
+# indexes (``key * model.stride``): a search job is one class, a tree
+# job a few node-shape classes, and a drained job one class per key
+# (stride 0: its indexes are absolute). Each class's segments are
+# lowered once, and the rule's order picks them, key by key.
+
+
+def _stitch(technique: str, model, group_size: int, cost_model) -> tuple:
+    """Rows and totals of a segment rule's schedule over ``model``'s keys.
+
+    Equal to ``_lower_rows(_schedule_ops(...))`` without expanding or
+    lowering a segment per key.
+    """
+    templates = model.templates
+    pieces = [segment for segments in templates for segment in segments]
+    fixed = {_FRAME: len(pieces), _SWITCH["coro"]: len(pieces) + 1}
+    pieces += ([_FRAME], [_SWITCH["coro"]])
+    lowered = _lower_pieces(pieces, model.iter_cost, cost_model)
+    sizes = np.array([len(segments) for segments in templates])
+    first_piece = (np.cumsum(sizes) - sizes)[model.key_class].tolist()
+    ops = _RULES[technique](sizes[model.key_class].tolist(), group_size)
+    order = [
+        first_piece[op[1]] + op[2] if op[0] == "S" else fixed[op] for op in ops
+    ]
+    keys = [op[1] if op[0] == "S" else 0 for op in ops]
+    bases = np.asarray(keys, dtype=np.int64) * model.stride
+    return _assemble(lowered, order, bases, cost_model.issue_width)
+
+
+def _stage(technique: str, model, group_size: int, cost_model) -> tuple:
+    """The rows and totals of ``technique``'s schedule over ``model``."""
+    if technique in _SEARCH_RULES:
+        ops = _schedule_ops(technique, model, group_size)
+        return _lower_rows(ops, model.iter_cost, cost_model)
+    return _stitch(technique, model, group_size, cost_model)
 
 
 #: In-process schedule memo: signature tuple -> (rows, totals), least
@@ -506,7 +615,9 @@ def _address_model(technique: str, tasks, line_size: int):
 
     Sorted-array jobs, and locates in a dictionary that binary-searches
     a sorted table (a Main dictionary exposes it as ``array``), get a
-    :class:`_SearchModel`; every other locate job is drained.
+    :class:`_SearchModel`; integer locates in a dictionary indexed by an
+    identity implicit CSB+-tree (an implicit Delta) a :class:`_TreeModel`;
+    every other locate job is drained.
     """
     interleave = technique == "coro"
     if tasks.kind == "sorted_array":  # executor.SORTED_ARRAY (it imports us)
@@ -522,12 +633,66 @@ def _address_model(technique: str, tasks, line_size: int):
             table, tasks.inputs, tasks.costs,
             interleave=interleave, speculative=not interleave, verify=True,
         )
+    tree = getattr(tasks.target, "tree", None)
+    if (
+        getattr(tree, "is_identity", False)
+        and hasattr(tasks.target, "dict_view")
+        and _int64_values(tasks.inputs)
+    ):
+        return _TreeModel(tasks.target, tasks.inputs, tasks.costs, interleave, line_size)
     from repro.interleaving.executor import _stream_factory
 
     return _DrainedModel(_stream_factory(tasks), tasks.inputs, interleave, line_size)
 
 
-class _SearchModel:
+def _int64_values(values) -> bool:
+    """Whether every value is an integer numpy can hold as ``int64``."""
+    return all(
+        isinstance(value, (int, np.integer)) and -(1 << 63) <= value < (1 << 63)
+        for value in values
+    )
+
+
+class _AddressModel:
+    """What every address model gives the interleave rules and stitcher.
+
+    ``templates[c]`` lists class ``c``'s segments (op lists whose address
+    indexes are relative to a key's block of ``stride`` addresses),
+    ``key_class[key]`` is the class of each key, ``kind`` names the model
+    in signatures, and :meth:`probes` returns the flat addresses and
+    per-key results. ``reason`` says why the job can not replay, if so.
+    """
+
+    reason = None
+    stride = 0
+
+    def counts(self) -> list:
+        """Resumes (segments) of every key."""
+        sizes = [len(segments) for segments in self.templates]
+        return [sizes[c] for c in self.key_class.tolist()]
+
+    def segment(self, key: int, segment: int) -> list:
+        """Key's ``segment``-th segment, its address indexes made absolute."""
+        base = key * self.stride
+        return [
+            (op[0], op[1] + base, op[2]) if op[0] in _OPCODES else op
+            for op in self.templates[self.key_class[key]][segment]
+        ]
+
+    def representatives(self) -> dict:
+        """Validation class -> the first key of it (one class by default)."""
+        return {(): 0}
+
+    def schedule(self, technique: str, group_size: int, cost_model) -> tuple:
+        """Stage this job's rows and totals (they belong to the job)."""
+        started = perf_counter()
+        staged = _stage(technique, self, group_size, cost_model)
+        _STATS["compiled_schedules"] += 1
+        _STATS["schedule_compile_s"] += perf_counter() - started
+        return staged
+
+
+class _SearchModel(_AddressModel):
     """A binary search over a sorted table: one recurrence for every key.
 
     Every key runs the size-halving recurrence of the shared search, so
@@ -537,10 +702,8 @@ class _SearchModel:
     the probe *addresses*. Each key owns a block of ``stride``
     addresses: probe ``it`` at ``width * it`` (a branchy search follows
     each probe with its two predicted successors, ``width`` 3), then the
-    exact-match load of a locate.
+    exact-match load of a locate. All keys are one class.
     """
-
-    reason = None
 
     def __init__(self, table, values, costs, *, interleave, speculative, verify):
         self.table = table
@@ -556,6 +719,12 @@ class _SearchModel:
         costs = costs.for_table(table)
         self.iter_cost = (costs.iter_cycles, costs.iter_instructions)
         self.kind = ("search", speculative, verify)
+        self.key_class = np.zeros(len(values), dtype=np.int64)
+
+    @property
+    def templates(self) -> list:
+        resumes = self.depth + 1 if self.interleave else 1
+        return [[self.segment(0, segment) for segment in range(resumes)]]
 
     def load(self, key: int, it: int) -> tuple:
         tag = "SL" if self.speculative else "L"
@@ -563,10 +732,6 @@ class _SearchModel:
 
     def prefetch(self, key: int, it: int) -> tuple:
         return ("P", key * self.stride + it, self.size)
-
-    def counts(self) -> list:
-        resumes = self.depth + 1 if self.interleave else 1
-        return [resumes] * len(self.values)
 
     def segment(self, key: int, segment: int) -> list:
         """Resume ``segment`` of key's search (the whole search unless
@@ -610,8 +775,7 @@ class _SearchModel:
             _STATS["schedule_cache_hits"] += 1
             return staged
         started = perf_counter()
-        ops = _schedule_ops(technique, self, group_size)
-        staged = _lower_rows(ops, self.iter_cost, cost_model)
+        staged = _stage(technique, self, group_size, cost_model)
         memo[signature] = staged
         held = sum(rows.shape[1] for rows, _totals in memo.values())
         while held > _MEMO_ROW_BUDGET and len(memo) > 1:
@@ -636,9 +800,7 @@ class _SearchModel:
         # A branchy search predicts probe it + 1 at ``half[it + 1]`` past
         # either successor of ``low``; the last probe predicts nothing.
         successors = halves[1:] + [0]
-        if getattr(table, "is_identity", False) and all(
-            isinstance(value, (int, np.integer)) for value in values
-        ):
+        if getattr(table, "is_identity", False) and _int64_values(values):
             return self._identity_probes(halves, successors)
         base = table.region.base
         element_size = table.element_size
@@ -695,7 +857,171 @@ class _SearchModel:
         return addresses.ravel(), low.tolist()
 
 
-class _DrainedModel:
+class _TreeModel(_AddressModel):
+    """Delta locates on an identity implicit CSB+-tree, in closed form.
+
+    :func:`~repro.columnstore.dictionary.delta_locate_stream` binary-
+    searches each inner node's separators, picks and (interleaved)
+    prefetches the child, and at the leaf compares through the
+    dictionary array: it loads a code slot, then (after a prefetch and a
+    suspension, interleaved) the entry that code names. On an implicit
+    tree whose keys are its entry numbers, all of it follows from the
+    tree's public geometry — node ``(d, i)``'s separators are the first
+    entries of its children ``i * fanout + 1 ..``, a leaf holds
+    ``leaf_entries`` consecutive entries — and one numpy recurrence per
+    depth gives every key's separator probes, child prefetch lines, leaf
+    code-slot and entry addresses, and result. The dictionary array must
+    hold key ``e`` at code ``leaf_value(e)``, as a Delta dictionary's does.
+
+    Which events a key's walk issues depends only on its *node shape*:
+    the separator count of each node on its path and its leaf's entry
+    count. Keys with one shape are one class with one segment template
+    (a child prefetch is always a line range, whichever lines the child
+    spans: a one-line range replays exactly as a one-line prefetch). Every
+    node off the right spine of a left-full tree is full, so a job has
+    at most ``height + 1`` classes, and all but one lie on the ragged
+    right spine. Each key's address block holds a column per separator
+    probe of each depth, the child prefetch's first and last byte
+    (interleaved), and a code slot and entry per leaf comparison, the
+    final one last; a class uses the columns its shape reaches.
+    """
+
+    kind = ("tree",)
+
+    def __init__(self, dictionary, values, costs, interleave: bool, line_size: int):
+        self.values = values
+        self.iter_cost = (costs.iter_cycles, costs.iter_instructions)
+        started = perf_counter()
+        try:
+            self._walk(dictionary.tree, dictionary.dict_view, interleave, line_size)
+        finally:
+            _STATS["schedule_compile_s"] += perf_counter() - started
+
+    def _walk(self, tree, view, interleave: bool, line_size: int) -> None:
+        keys = np.asarray(self.values, dtype=np.int64)
+        fanout, node_size = tree.fanout, tree.node_size
+        entries_per_leaf, key_size = tree.leaf_entries, tree.key_size
+        entry_size = view.element_size
+        leaf_depth = tree.height - 1
+        columns: list = []  # address columns: one array each, an entry per key
+        shape: list = []  # node-shape columns
+        loads: list = []  # (addresses, size) of every demand load issued
+        layout: list = []  # per inner depth: (first probe column, prefetch column)
+        node = np.zeros(keys.size, dtype=np.int64)
+        for depth in range(leaf_depth):
+            first_child = node * fanout
+            separators = np.minimum(fanout, tree.width_at[depth + 1] - first_child) - 1
+            step = tree.span_at[depth + 1] * entries_per_leaf  # entries per child
+            base = tree.node_address((depth, 0)) + NODE_HEADER_BYTES + node * node_size
+            probe_column = len(columns)
+            low = np.zeros_like(node)
+            size = separators.copy()
+            for _ in range(search_depth(int(separators.max()))):
+                half = size // 2
+                probe = low + half
+                address = base + probe * key_size
+                columns.append(address)
+                loads.append((address[half > 0], key_size))
+                low = np.where((first_child + probe + 1) * step <= keys, probe, low)
+                size -= half
+            right = (separators > 0) & ((first_child + low + 1) * step <= keys)
+            node = first_child + np.where(right, low + 1, 0)
+            shape.append(separators)
+            layout.append((probe_column, len(columns)))
+            if interleave:
+                child = tree.node_address((depth + 1, 0)) + node * node_size
+                columns += (child, child + node_size - 1)
+        first = node * entries_per_leaf
+        count = np.minimum(entries_per_leaf, tree.n_entries - first)
+        shape.append(count)
+        slots = tree.node_address((leaf_depth, 0)) + NODE_HEADER_BYTES
+        slots = slots + node * node_size + count * key_size
+        low = np.zeros_like(node)
+        size = count.copy()
+        compared: list = []  # leaf position of each comparison; the final last
+        for _ in range(search_depth(int(count.max()))):
+            half = size // 2
+            probe = low + half
+            compared.append((probe, half > 0))
+            low = np.where(first + probe <= keys, probe, low)
+            size -= half
+        compared.append((low, np.ones_like(low, dtype=bool)))
+        leaves = node.tolist()
+        leaf_value = tree.leaf_value
+        entry_base = view.address_of(0)
+        leaf_column = len(columns)
+        for position, issued in compared:
+            code = np.array(
+                [
+                    leaf_value((leaf_depth, leaf), at)
+                    for leaf, at in zip(leaves, position.tolist())
+                ],
+                dtype=np.int64,
+            )
+            slot = slots + position * tree.value_size
+            entry = entry_base + code * entry_size
+            columns += (slot, entry)
+            loads += ((slot[issued], entry_size), (entry[issued], entry_size))
+        if any(
+            (addresses % line_size + size > line_size).any() for addresses, size in loads
+        ):
+            self.reason = "line_straddle"
+            return
+        # ``code`` is the final comparison's: the key's code if it matched.
+        self.results = np.where(first + low == keys, code, INVALID_CODE).tolist()
+        self.addresses = np.stack(columns, axis=1).ravel()
+        self.stride = len(columns)
+        classes, firsts, inverse = np.unique(
+            np.stack(shape, axis=1), axis=0, return_index=True, return_inverse=True
+        )
+        self.key_class = inverse.reshape(-1)
+        self.shapes = [tuple(row) for row in classes.tolist()]
+        self.firsts = firsts.tolist()
+        final = len(compared) - 1
+        geometry = (key_size, node_size, entry_size, leaf_column, final)
+        self.templates = [
+            _tree_template(row, layout, geometry, interleave) for row in self.shapes
+        ]
+
+    def representatives(self) -> dict:
+        return dict(zip(self.shapes, self.firsts))
+
+    def probes(self) -> tuple:
+        return self.addresses, self.results
+
+
+def _tree_template(shape: tuple, layout: list, geometry: tuple, interleave: bool) -> list:
+    """The segments of one node-shape class of :class:`_TreeModel`, ops
+    in the order ``delta_locate_stream`` issues them."""
+    key_size, node_size, entry_size, leaf_column, final = geometry
+    segments: list = [[]]
+    ops = segments[-1]
+    shape = iter(shape)
+    for probe_column, prefetch_column in layout:
+        separators = next(shape)
+        if separators:
+            for it in range(search_depth(separators)):
+                ops += (("L", probe_column + it, key_size), _ITER)
+            ops.append(("C", *ROUTE_COST))
+        else:
+            ops.append(("C", *SINGLE_CHILD_COST))
+        if interleave:  # a line range, even when the node fits one line
+            ops.append(("PL", prefetch_column, node_size))
+            ops = []
+            segments.append(ops)
+    for compare in (*range(search_depth(next(shape))), final):
+        slot = leaf_column + 2 * compare
+        ops.append(("L", slot, entry_size))
+        if interleave:
+            ops.append(("P", slot + 1, entry_size))
+            ops = []
+            segments.append(ops)
+        ops += (("L", slot + 1, entry_size), _ITER)
+    ops.append(("C", *EXACT_MATCH_COST))
+    return segments
+
+
+class _DrainedModel(_AddressModel):
     """Lookups whose streams are each drained once, engine-free.
 
     Runs every key's stream to completion without an engine and splits
@@ -703,9 +1029,12 @@ class _DrainedModel:
     This is exact only for streams that never read the outcome of an
     event (a ``Prefetch`` answer, say) — the dictionary ``locate``
     streams, whose control flow depends on the looked-up values alone.
-    Drained rows belong to one job, so they bypass the schedule memo.
-    ``reason`` names why the job can not replay: an access straddling
-    a cache line, or an event the kernel has no row for.
+    It stages what nothing closed-form covers: materialized CSB+-trees,
+    non-identity trees and non-integer keys. Each key is its own class
+    (its ops carry absolute address indexes); drained rows belong to one
+    job, so they bypass the schedule memo. ``reason`` names why the job
+    can not replay: an access straddling a cache line, or an event the
+    kernel has no row for.
     """
 
     kind = ("drained",)
@@ -713,13 +1042,18 @@ class _DrainedModel:
 
     def __init__(self, factory, values, interleave: bool, line_size: int) -> None:
         self.values = values
-        self.reason = None
         started = perf_counter()
+        try:
+            self.reason = self._drain(factory, interleave, line_size)
+        finally:
+            _STATS["schedule_compile_s"] += perf_counter() - started
+
+    def _drain(self, factory, interleave: bool, line_size: int) -> str | None:
         addresses: list = []
         results: list = []
         segments: list = []
         add = addresses.append
-        for value in values:
+        for value in self.values:
             stream = factory(value, interleave)
             send = stream.send
             current: list = []
@@ -732,11 +1066,9 @@ class _DrainedModel:
                     if kind is Load:
                         addr, size = event.addr, event.size
                         if event.spec_next is not None:
-                            self.reason = "workload_kind"
-                            return
+                            return "workload_kind"
                         if addr % line_size + size > line_size:
-                            self.reason = "line_straddle"
-                            return
+                            return "line_straddle"
                         append(("L", len(addresses), size))
                         add(addr)
                     elif kind is Compute:
@@ -756,29 +1088,15 @@ class _DrainedModel:
                             add(addr)
                             add(last)
                     else:
-                        self.reason = "workload_kind"
-                        return
+                        return "workload_kind"
             except StopIteration as stop:
                 results.append(stop.value)
             segments.append(key_segments)
         self.addresses = addresses
         self.results = results
-        self.segments = segments
-        _STATS["schedule_compile_s"] += perf_counter() - started
-
-    def counts(self) -> list:
-        return [len(key_segments) for key_segments in self.segments]
-
-    def segment(self, key: int, segment: int) -> list:
-        return self.segments[key][segment]
-
-    def schedule(self, technique: str, group_size: int, cost_model) -> tuple:
-        started = perf_counter()
-        ops = _schedule_ops(technique, self, group_size)
-        staged = _lower_rows(ops, None, cost_model)
-        _STATS["compiled_schedules"] += 1
-        _STATS["schedule_compile_s"] += perf_counter() - started
-        return staged
+        self.templates = segments
+        self.key_class = np.arange(len(segments))
+        return None
 
     def probes(self) -> tuple:
         return self.addresses, self.results
@@ -851,25 +1169,27 @@ def _expand_expected(ops, addresses, iter_cost, cost):
     return expected
 
 
-def _validate_staging(executor, tasks, model_kind: tuple, group_size: int, arch) -> None:
+def _validate_staging(executor, tasks, model, group_size: int, arch) -> None:
     """Record the executor's generators once; the staged schedule must match.
 
     The first time a (technique, address model, group size, cost model)
-    combination replays, ``executor``'s generators run a calibration
-    slice of the job — its own target, with enough of its inputs (reused
-    cyclically) for two full generations and a partial one — under a
-    :class:`_RecordingEngine`, and their event stream (addresses, sizes,
+    combination replays a class of keys, ``executor``'s generators run a
+    calibration slice of the job — its own target, with enough of its
+    inputs (reused cyclically) for two full generations and a partial
+    one, plus the first key of each such class the slice lacks — under a
+    :class:`_RecordingEngine`. Their event stream (addresses, sizes,
     ``spec_next`` predictions and compute charges included) must equal
-    the staged ops expanded with the model's addresses, and the results
-    the model's. Covers the schedule structure end to end: prologue
-    allocations, refill timing, partial final generations, per-key
-    segment counts, and the per-visit event mix.
+    the staged ops expanded with the model's addresses, the results the
+    model's, and a segment rule's stitched rows the lowering of those
+    ops. Covers the schedule structure end to end: prologue allocations,
+    refill timing, partial final generations, per-key segment counts,
+    the per-visit event mix, and every class's template.
     """
     technique = executor.schedule
     cost = arch.cost
     signature = (
         technique,
-        model_kind,
+        model.kind,
         group_size,
         cost.issue_width,
         tuple(cost.coro_switch),
@@ -878,30 +1198,43 @@ def _validate_staging(executor, tasks, model_kind: tuple, group_size: int, arch)
         (cost.frame_alloc_cycles, cost.frame_alloc_instructions),
         (cost.prefetch_issue_cycles, cost.prefetch_issue_instructions),
     )
-    if signature in _VALIDATED:
+    missing = {
+        shape: key
+        for shape, key in model.representatives().items()
+        if signature + (shape,) not in _VALIDATED
+    }
+    if not missing:
         return
     n = 2 * group_size + max(2, group_size // 2)  # 2 generations + a partial
     inputs = tasks.inputs
-    calibration = replace(
-        tasks, inputs=tuple(inputs[i % len(inputs)] for i in range(n))
-    )
-    model = _address_model(technique, calibration, arch.line_size)
+    picks = [i % len(inputs) for i in range(n)]
+    picks += sorted(key for key in missing.values() if key >= n)
+    calibration = replace(tasks, inputs=tuple(inputs[i] for i in picks))
+    calibrated = _address_model(technique, calibration, arch.line_size)
     recorder = _RecordingEngine(arch)
     recorded_results = executor._run(calibration, recorder, group_size)
-    if model.reason is None:
-        ops = _schedule_ops(technique, model, group_size)
-        addresses, staged_results = model.probes()
+    faithful = calibrated.reason is None
+    if faithful:
+        ops = _schedule_ops(technique, calibrated, group_size)
+        addresses, staged_results = calibrated.probes()
         addresses = np.asarray(addresses).tolist()
-        expected = _expand_expected(ops, addresses, model.iter_cost, cost)
-    if (
-        model.reason is not None
-        or expected != recorder.trace
-        or list(recorded_results) != list(staged_results)
-    ):
+        expected = _expand_expected(ops, addresses, calibrated.iter_cost, cost)
+        faithful = (
+            expected == recorder.trace
+            and list(recorded_results) == list(staged_results)
+        )
+    if faithful and technique in _RULES:
+        rows, totals = _lower_rows(ops, calibrated.iter_cost, cost)
+        started = perf_counter()
+        stitched, stitched_totals = _stitch(technique, calibrated, group_size, cost)
+        _STATS["schedule_compile_s"] += perf_counter() - started
+        faithful = stitched_totals == totals and np.array_equal(stitched, rows)
+    if not faithful:
         raise SimulationError(
             f"staged {technique!r} schedule (group_size={group_size}, "
-            f"model {model_kind}) does not reproduce the recorded generator "
+            f"model {model.kind}) does not reproduce the recorded generator "
             f"trace; refusing to replay"
         )
-    _VALIDATED.add(signature)
+    for shape in calibrated.representatives():
+        _VALIDATED.add(signature + (shape,))
     _STATS["validations"] += 1

@@ -13,11 +13,14 @@ fresh engine: results, ``engine.clock`` and the whole
 Dictionary ``locate`` jobs replay under ``sequential`` and ``CORO``:
 Main dictionaries (int and string, implicit and materialized) through
 the sorted-array recurrence, with the speculative branchy search when
-sequential, and Delta dictionaries (implicit and materialized CSB+-tree)
-by draining each key's stream. Those draws, and ``std`` jobs, also vary
-the engine's seed and start it cold, warm (a settled warm-up run) or
-mid-flight (a warm-up run with fills still in flight), and the engine's
-RNG state must match the reference too.
+sequential, implicit Delta dictionaries (256- and 48-byte nodes, and
+pinned 1 GiB and 1,801-value trees) through the closed-form CSB+-tree
+model, and materialized ones by draining each key's stream. Those
+draws, and ``std`` jobs, also vary the engine's seed and start it cold,
+warm (a settled warm-up run) or mid-flight (a warm-up run with fills
+still in flight), and the engine's RNG state must match the reference
+too. Schedules stitched from per-class templates must equal lowering
+every expanded op, for search, tree and drained jobs alike.
 
 Jobs that can not compile (depth-0 tables, elements that can straddle a
 cache line, tracer-on engines, engine subclasses, ablation
@@ -167,6 +170,8 @@ def _dictionary(store: str, size: int, seed: int):
         dictionary = MainDictionary.implicit(allocator, "d", size * 4)
     elif store == "delta-implicit":
         dictionary = DeltaDictionary.implicit(allocator, "d", size * 4)
+    elif store == "delta-narrow":  # 48-byte nodes: some child prefetches span lines
+        dictionary = DeltaDictionary.implicit(allocator, "d", size * 4, node_size=48)
     else:  # materialized: distinct values with gaps, in scrambled order
         values = list(
             dict.fromkeys((seed * 7 + i * 13) % (4 * size + 1) for i in range(size))
@@ -200,7 +205,7 @@ locate_jobs = st.fixed_dictionaries(
         "store": st.sampled_from(
             (
                 "main-implicit", "main-string", "main-strings", "main-values",
-                "delta-implicit", "delta-values",
+                "delta-implicit", "delta-narrow", "delta-values",
             )
         ),
         "arch": st.sampled_from(ARCHES),
@@ -212,6 +217,26 @@ locate_jobs = st.fixed_dictionaries(
         "raw": st.lists(st.integers(0, 1 << 30), max_size=48),
     }
 )
+
+
+#: Keys of a 2**28-value implicit Delta: absent below, under full nodes,
+#: under the right spine down to depth 1, 2, 3 and 4 (the last leaf),
+#: and absent above.
+_KEYS_1G = (
+    -1, 0, 12_345, 265_679_999, 268_379_999, 268_433_999,
+    268_435_439, 268_435_440, 268_435_455, 268_435_456, 1 << 31,
+)
+#: Keys of a 1,801-value implicit Delta (``width_at`` ``[1, 2, 61]``).
+_KEYS_1801 = (-1, 0, 900, 1_799, 1_800, 1_801, 5_000)
+
+
+def _delta_example(technique: str, size: int, keys: tuple, state: str) -> dict:
+    """A ``locate_jobs`` draw over an implicit Delta, ``keys`` twice over."""
+    return {
+        "technique": technique, "store": "delta-implicit", "arch": HASWELL,
+        "lfbs": 10, "size": size, "group_size": 4, "state": state,
+        "seed": size % 97, "raw": [key + 1 for key in keys * 2],  # key_of(key + 1) == key
+    }
 
 
 class TestLocateReplayMatchesGenerators:
@@ -257,6 +282,15 @@ class TestLocateReplayMatchesGenerators:
             "seed": 7, "raw": list(range(0, 48 * 211, 211)),
         }
     )
+    # A 1 GiB implicit Delta (five levels, 41 root separators, a right
+    # spine of 25, 30 and 48 separators over a 16-entry last leaf) with
+    # keys in every node-shape class, and a 1,801-value one whose second
+    # depth-1 node has a single child (the ``SINGLE_CHILD_COST`` branch)
+    # over a one-entry leaf; absent keys below and above both.
+    @example(job=_delta_example("sequential", 1 << 28, _KEYS_1G, "warm"))
+    @example(job=_delta_example("CORO", 1 << 28, _KEYS_1G, "mid-flight"))
+    @example(job=_delta_example("sequential", 1_801, _KEYS_1801, "cold"))
+    @example(job=_delta_example("CORO", 1_801, _KEYS_1801, "mid-flight"))
     def test_locate_equals_generator_reference(self, job):
         arch = job["arch"].replace(n_line_fill_buffers=job["lfbs"])
         dictionary, key_of = _dictionary(job["store"], job["size"], len(job["raw"]))
@@ -272,6 +306,22 @@ class TestLocateReplayMatchesGenerators:
         assert expected == [dictionary.locate(value) for value in tasks.inputs]
         assert stats["fallbacks"] == 0
         assert stats["replays"] == int(bool(tasks.inputs))
+
+    @pytest.mark.parametrize("technique", ("sequential", "CORO"))
+    @pytest.mark.parametrize("store", ("main-implicit", "delta-implicit"))
+    def test_keys_beyond_int64(self, store, technique):
+        """Keys numpy can not hold as int64 take the models' Python paths
+        (Main's ``value_at`` walk, a Delta drain) instead of overflowing."""
+        dictionary, _key_of = _dictionary(store, 1_000, 0)
+
+        def make_tasks(warm):
+            return BulkLookup.locate(dictionary, [5, 1 << 70, -(1 << 70), 999])
+
+        tasks, expected, stats = self._compare(
+            get_executor(technique), make_tasks, HASWELL, 3, 0, "cold"
+        )
+        assert expected == [dictionary.locate(value) for value in tasks.inputs]
+        assert stats["replays"] == 1 and stats["fallbacks"] == 0
 
     @settings(
         max_examples=40,
@@ -365,6 +415,23 @@ class TestFallbackReasons:
         _run(CoroExecutor(), _small_tasks(), HASWELL, 3)
         assert compiled_stats()["replays"] == 1
 
+    @pytest.mark.parametrize("store", ("materialized", "implicit"))
+    def test_delta_straddle_charges_its_staging_time(self, store):
+        """A Delta job whose tree model or drain finds a straddling load
+        falls back, and the staging time it took is still charged."""
+        values = [(i * 37) % 1_000 for i in range(300)]
+        if store == "materialized":  # drained: the 12-byte entries straddle
+            delta = DeltaDictionary.from_values(
+                AddressSpaceAllocator(), "d", values, element_size=12
+            )
+        else:  # tree model: the 12-byte separators straddle too
+            delta = DeltaDictionary.implicit(
+                AddressSpaceAllocator(), "d", 12_000, element_size=12
+            )
+        tasks = BulkLookup.locate(delta, values[:40])
+        self._assert_fallback(lambda: get_executor("sequential"), tasks, "line_straddle")
+        assert compiled_stats()["schedule_compile_s"] > 0
+
     @pytest.mark.parametrize("name", ("CORO", "sequential"))
     def test_stream_workload(self, name):
         table = int_array_of_bytes(AddressSpaceAllocator(), "t", 4_000)
@@ -432,7 +499,9 @@ class TestStagingValidation:
             ("CORO", BulkLookup.locate(delta, [0, 5, 3_999, 4_001])),
         ):
             self._run(name, tasks)
-        assert len(_unvalidated._VALIDATED) == 4
+        # One signature per class: 0 and 5 sit under full nodes, 3_999 and
+        # the absent 4_001 on the tree's ragged right spine.
+        assert len(_unvalidated._VALIDATED) == 5
 
     def test_wrong_compute_charge_raises(self, _unvalidated, monkeypatch):
         monkeypatch.setattr(_unvalidated, "EXACT_MATCH_COST", (3, 2))
@@ -453,11 +522,97 @@ class TestStagingValidation:
         with pytest.raises(SimulationError, match="does not reproduce"):
             self._run("sequential", self._main())
 
+    @pytest.mark.parametrize("name", ("sequential", "CORO"))
+    def test_wrong_ragged_template_raises(self, _unvalidated, monkeypatch, name):
+        """The job's first keys (the whole calibration slice) sit under full
+        nodes; validation still stages the ragged class's template against
+        the generators through a representative key of it."""
+        delta = DeltaDictionary.implicit(AddressSpaceAllocator(), "d", 16_000)
+        template = _unvalidated._tree_template
+
+        def ragged_wrong(shape, *args):
+            segments = template(shape, *args)
+            if shape[-1] < delta.tree.leaf_entries:  # the 10-entry last leaf
+                segments[-1].append(("C", 1, 1))
+            return segments
+
+        monkeypatch.setattr(_unvalidated, "_tree_template", ragged_wrong)
+        tasks = BulkLookup.locate(delta, [*range(0, 3_000, 100), 3_999])
+        with pytest.raises(SimulationError, match="does not reproduce"):
+            self._run(name, tasks)
+
+    def test_wrong_stitch_raises(self, _unvalidated, monkeypatch):
+        """Stitched rows that differ from the lowered ops are refused even
+        when the ops themselves match the generators."""
+        stitch = _unvalidated._stitch
+
+        def off_by_one(*args):
+            rows, totals = stitch(*args)
+            rows[2, 0] += 1
+            return rows, totals
+
+        monkeypatch.setattr(_unvalidated, "_stitch", off_by_one)
+        with pytest.raises(SimulationError, match="does not reproduce"):
+            self._run("CORO", self._main())
+
     def test_wrong_interleave_rule_raises(self, _unvalidated, monkeypatch):
         delta = DeltaDictionary.implicit(AddressSpaceAllocator(), "d", 16_000)
         monkeypatch.setitem(_unvalidated._RULES, "coro", _unvalidated._rule_sequential)
         with pytest.raises(SimulationError, match="does not reproduce"):
             self._run("CORO", BulkLookup.locate(delta, [0, 5, 3_999, 4_001]))
+
+
+stitch_jobs = st.fixed_dictionaries(
+    {
+        "technique": st.sampled_from(("sequential", "baseline", "std", "coro")),
+        "store": st.sampled_from(
+            (
+                "sorted", "main-implicit", "main-strings",
+                "delta-implicit", "delta-narrow", "delta-values",
+            )
+        ),
+        "arch": st.sampled_from(ARCHES),
+        "size": st.one_of(st.integers(2, 3), st.integers(2, 5_000)),
+        "group_size": st.integers(1, 16),
+        "raw": st.lists(st.integers(0, 1 << 30), min_size=1, max_size=40),
+    }
+)
+
+
+class TestStitching:
+    """Stitched per-class templates equal lowering every expanded op."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(job=stitch_jobs)
+    def test_stitched_rows_equal_lowered_ops(self, job):
+        from repro.interleaving import compiled
+
+        technique, store = job["technique"], job["store"]
+        if technique == "std":  # sorted arrays only
+            store = "sorted"
+        if store == "sorted":
+            table = int_array_of_bytes(AddressSpaceAllocator(), "t", job["size"] * 4)
+            tasks = BulkLookup.sorted_array(table, _keys("int", job["size"], job["raw"]))
+        else:
+            dictionary, key_of = _dictionary(store, job["size"], len(job["raw"]))
+            tasks = BulkLookup.locate(dictionary, [key_of(raw) for raw in job["raw"]])
+        cost = job["arch"].cost
+        model = compiled._address_model(technique, tasks, job["arch"].line_size)
+        assert model.reason is None
+        models = {
+            "delta-implicit": "_TreeModel",
+            "delta-narrow": "_TreeModel",
+            "delta-values": "_DrainedModel",
+        }
+        assert type(model).__name__ == models.get(store, "_SearchModel")
+        ops = compiled._schedule_ops(technique, model, job["group_size"])
+        rows, totals = compiled._lower_rows(ops, model.iter_cost, cost)
+        stitched, stitched_totals = compiled._stitch(
+            technique, model, job["group_size"], cost
+        )
+        assert stitched.dtype == rows.dtype
+        assert stitched.tolist() == rows.tolist()
+        assert stitched_totals == totals
 
 
 class TestScheduleMemo:

@@ -1,7 +1,7 @@
 """Unit and property tests for the set-associative LRU cache."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheSpec
@@ -129,3 +129,40 @@ class TestProperties:
             else:
                 cache.install(line)
         assert cache.stats.accesses == len(lines)
+
+
+def _state(cache):
+    return [list(ways) for ways in cache._sets], cache.stats.installs, cache.stats.evictions
+
+
+class TestInstallRange:
+    """``install_range`` equals one ``install`` per line, in order."""
+
+    @given(
+        assoc=st.sampled_from([1, 2, 4, 16]),
+        n_sets=st.sampled_from([1, 3, 8, 16]),
+        before=st.lists(st.integers(min_value=0, max_value=400), max_size=120),
+        ranges=st.lists(
+            st.tuples(st.integers(0, 300), st.integers(0, 200)), min_size=1, max_size=4
+        ),
+    )
+    # An LLC warm-up's shape: a region, then one above it with more lines
+    # a set than ways, into a cold cache and a pre-populated one.
+    @example(assoc=16, n_sets=64, before=[], ranges=[(3, 12 * 64 + 7), (2_000, 40 * 64)])
+    @example(
+        assoc=16, n_sets=64, before=[5, 69], ranges=[(3, 12 * 64 + 7), (2_000, 40 * 64)]
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_line_installs(self, assoc, n_sets, before, ranges):
+        # Pre-populated sets (re-installs of resident lines included) and
+        # ranges from empty to many more lines per set than ways.
+        spec = CacheSpec("T", 64 * assoc * n_sets, assoc, 4)
+        bulk, reference = SetAssociativeCache(spec, 64), SetAssociativeCache(spec, 64)
+        for line in before:
+            bulk.install(line)
+            reference.install(line)
+        for first, count in ranges:
+            bulk.install_range(first, first + count)
+            for line in range(first, first + count):
+                reference.install(line)
+            assert _state(bulk) == _state(reference)
