@@ -15,17 +15,31 @@ consecutive keys each (the last leaf may be partial); depth ``d`` holds
 ``(depth, index)`` lives at a closed-form address. Node ``(d, i)`` covers
 leaves ``[i * F^(H-1-d), min((i+1) * F^(H-1-d), n_leaves))`` and its
 ``j``-th child is node ``(d+1, i*F + j)``.
+
+The layout methods (``node_addresses``, ``key_entries``,
+``key_addresses``, ``child_indexes``, ``leaf_value_addresses``,
+``leaf_values``) take a node index or an int64 array of them: the
+:class:`~repro.indexes.csb_tree.TreeInterface` methods read the layout
+through them one node at a time, and the trace compiler's closed-form
+Delta model (:mod:`repro.interleaving.compiled`) one node per lookup.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.errors import IndexStructureError
 from repro.indexes.csb_tree import NODE_HEADER_BYTES
 from repro.sim.allocator import AddressSpaceAllocator
 
 __all__ = ["ImplicitCSBTree"]
+
+
+def _least(bound: int, value):
+    """``min(bound, value)``, elementwise when ``value`` is an array."""
+    return np.minimum(bound, value) if type(value) is np.ndarray else min(bound, value)
 
 
 class _ImplicitKeysView:
@@ -120,8 +134,71 @@ class ImplicitCSBTree:
             offset += width * node_size
 
     # ------------------------------------------------------------------
+    # Layout, over a node index or an int64 array of them
+    # ------------------------------------------------------------------
+
+    def node_addresses(self, depth: int, index):
+        """Address of node ``(depth, index)``: a depth's nodes lie back to back."""
+        return self._depth_base[depth] + index * self.node_size
+
+    def key_entries(self, depth: int, index) -> tuple:
+        """``(first, stride, count)``: node ``(depth, index)`` holds the keys
+        of entries ``first + j * stride`` for ``j < count``.
+
+        An inner node's keys are its separators, the first entries of its
+        children ``1 .. k - 1``; a leaf's are ``leaf_entries`` consecutive
+        entries (fewer in the last leaf).
+        """
+        if depth == self.height - 1:
+            first = index * self.leaf_entries
+            return first, 1, _least(self.leaf_entries, self.n_entries - first)
+        stride = self.span_at[depth + 1] * self.leaf_entries  # entries per child
+        first_child = self.child_indexes(depth, index, 0)
+        children = _least(self.fanout, self.width_at[depth + 1] - first_child)
+        return (first_child + 1) * stride, stride, children - 1
+
+    def key_addresses(self, depth: int, index, position):
+        """Address of key ``position`` of node ``(depth, index)``; the keys
+        follow the node header."""
+        return (
+            self.node_addresses(depth, index)
+            + NODE_HEADER_BYTES
+            + position * self.key_size
+        )
+
+    def child_indexes(self, depth: int, index, position):
+        """Index at ``depth + 1`` of child ``position`` of node ``(depth, index)``."""
+        return index * self.fanout + position
+
+    def leaf_value_addresses(self, index, position):
+        """Address of code slot ``position`` of leaf ``index``; a leaf's
+        codes follow its keys."""
+        depth = self.height - 1
+        count = self.key_entries(depth, index)[2]
+        return self.key_addresses(depth, index, count) + position * self.value_size
+
+    def leaf_values(self, index, position):
+        """The codes stored at ``position`` of leaf ``index`` (an int64
+        array when either is an array)."""
+        entry = index * self.leaf_entries + position
+        if isinstance(entry, np.ndarray):
+            if entry.size and not (0 <= entry.min() and entry.max() < self.n_entries):
+                raise IndexStructureError("leaf position out of range")
+            code_fn = self._code_fn
+            return np.array([code_fn(e) for e in entry.tolist()], dtype=np.int64)
+        if not 0 <= entry < self.n_entries:
+            raise IndexStructureError(f"no leaf entry {position} at leaf {index}")
+        return self._code_fn(entry)
+
+    # ------------------------------------------------------------------
     # TreeInterface
     # ------------------------------------------------------------------
+
+    def _checked(self, handle: tuple[int, int]) -> tuple[int, int]:
+        depth, index = handle
+        if not 0 <= index < self.width_at[depth]:
+            raise IndexStructureError(f"no node {handle!r}")
+        return depth, index
 
     def root_handle(self) -> tuple[int, int]:
         return (0, 0)
@@ -130,61 +207,37 @@ class ImplicitCSBTree:
         return handle[0] == self.height - 1
 
     def node_address(self, handle: tuple[int, int]) -> int:
-        depth, index = handle
-        if not 0 <= index < self.width_at[depth]:
-            raise IndexStructureError(f"no node {handle!r}")
-        return self._depth_base[depth] + index * self.node_size
-
-    def _n_children(self, depth: int, index: int) -> int:
-        return min(
-            self.fanout, self.width_at[depth + 1] - index * self.fanout
-        )
-
-    def _first_entry_of(self, depth: int, index: int) -> int:
-        """Entry index of the smallest key under node (depth, index)."""
-        return index * self.span_at[depth] * self.leaf_entries
+        return self.node_addresses(*self._checked(handle))
 
     def keys_table(self, handle: tuple[int, int]) -> _ImplicitKeysView:
-        depth, index = handle
-        base = self.node_address(handle) + NODE_HEADER_BYTES
-        if self.is_leaf(handle):
-            first = index * self.leaf_entries
-            count = min(self.leaf_entries, self.n_entries - first)
-            return _ImplicitKeysView(
-                base, self.key_size, first, count, 1, self._value_fn
-            )
-        # Inner: separators are the first entries of children 1..k-1.
-        k = self._n_children(depth, index)
-        child0 = index * self.fanout
-        stride = self.span_at[depth + 1] * self.leaf_entries
-        first = self._first_entry_of(depth + 1, child0 + 1) if k > 1 else 0
+        depth, index = self._checked(handle)
+        first, stride, count = self.key_entries(depth, index)
         return _ImplicitKeysView(
-            base, self.key_size, first, max(0, k - 1), stride, self._value_fn
+            self.key_addresses(depth, index, 0),
+            self.key_size,
+            first,
+            count,
+            stride,
+            self._value_fn,
         )
 
     def child_of(self, handle: tuple[int, int], index: int) -> tuple[int, int]:
         depth, node_index = handle
         if self.is_leaf(handle):
             raise IndexStructureError("leaves have no children")
-        if not 0 <= index < self._n_children(depth, node_index):
+        if not 0 <= index <= self.key_entries(depth, node_index)[2]:
             raise IndexStructureError(f"child {index} out of range at {handle!r}")
-        return (depth + 1, node_index * self.fanout + index)
+        return (depth + 1, self.child_indexes(depth, node_index, index))
 
     def leaf_value(self, handle: tuple[int, int], position: int):
-        depth, index = handle
-        entry = index * self.leaf_entries + position
-        if not self.is_leaf(handle) or not 0 <= entry < self.n_entries:
+        if not self.is_leaf(handle):
             raise IndexStructureError(f"no leaf entry {position} at {handle!r}")
-        return self._code_fn(entry)
+        return self.leaf_values(handle[1], position)
 
     def leaf_value_address(self, handle: tuple[int, int], position: int) -> int:
-        keys = self.keys_table(handle)
-        return (
-            self.node_address(handle)
-            + NODE_HEADER_BYTES
-            + keys.size * self.key_size
-            + position * self.value_size
-        )
+        if not self.is_leaf(handle):
+            raise IndexStructureError(f"{handle!r} is not a leaf")
+        return self.leaf_value_addresses(self._checked(handle)[1], position)
 
     # ------------------------------------------------------------------
     # Convenience

@@ -90,7 +90,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.indexes.base import INVALID_CODE
 from repro.indexes.binary_search import EXACT_MATCH_COST
-from repro.indexes.csb_tree import NODE_HEADER_BYTES, ROUTE_COST, SINGLE_CHILD_COST
+from repro.indexes.csb_tree import ROUTE_COST, SINGLE_CHILD_COST
 from repro.sim.engine import ExecutionEngine
 from repro.sim.events import Compute, Load, Prefetch, Suspend
 from repro.sim.replay import (
@@ -866,12 +866,13 @@ class _TreeModel(_AddressModel):
     dictionary array: it loads a code slot, then (after a prefetch and a
     suspension, interleaved) the entry that code names. On an implicit
     tree whose keys are its entry numbers, all of it follows from the
-    tree's public geometry — node ``(d, i)``'s separators are the first
-    entries of its children ``i * fanout + 1 ..``, a leaf holds
-    ``leaf_entries`` consecutive entries — and one numpy recurrence per
-    depth gives every key's separator probes, child prefetch lines, leaf
-    code-slot and entry addresses, and result. The dictionary array must
-    hold key ``e`` at code ``leaf_value(e)``, as a Delta dictionary's does.
+    tree's layout methods, which take an array of node indexes
+    (``key_entries``, ``key_addresses``, ``child_indexes``,
+    ``node_addresses``, ``leaf_value_addresses``, ``leaf_values``), and
+    the view's ``address_of``: one numpy recurrence per depth gives every
+    key's separator probes, child prefetch lines, leaf code-slot and
+    entry addresses, and result. The dictionary array must hold key
+    ``e`` at code ``leaf_value(e)``, as a Delta dictionary's does.
 
     Which events a key's walk issues depends only on its *node shape*:
     the separator count of each node on its path and its leaf's entry
@@ -899,8 +900,7 @@ class _TreeModel(_AddressModel):
 
     def _walk(self, tree, view, interleave: bool, line_size: int) -> None:
         keys = np.asarray(self.values, dtype=np.int64)
-        fanout, node_size = tree.fanout, tree.node_size
-        entries_per_leaf, key_size = tree.leaf_entries, tree.key_size
+        key_size, node_size = tree.key_size, tree.node_size
         entry_size = view.element_size
         leaf_depth = tree.height - 1
         columns: list = []  # address columns: one array each, an entry per key
@@ -909,33 +909,27 @@ class _TreeModel(_AddressModel):
         layout: list = []  # per inner depth: (first probe column, prefetch column)
         node = np.zeros(keys.size, dtype=np.int64)
         for depth in range(leaf_depth):
-            first_child = node * fanout
-            separators = np.minimum(fanout, tree.width_at[depth + 1] - first_child) - 1
-            step = tree.span_at[depth + 1] * entries_per_leaf  # entries per child
-            base = tree.node_address((depth, 0)) + NODE_HEADER_BYTES + node * node_size
+            first, step, separators = tree.key_entries(depth, node)
             probe_column = len(columns)
             low = np.zeros_like(node)
             size = separators.copy()
             for _ in range(search_depth(int(separators.max()))):
                 half = size // 2
                 probe = low + half
-                address = base + probe * key_size
+                address = tree.key_addresses(depth, node, probe)
                 columns.append(address)
                 loads.append((address[half > 0], key_size))
-                low = np.where((first_child + probe + 1) * step <= keys, probe, low)
+                low = np.where(first + probe * step <= keys, probe, low)
                 size -= half
-            right = (separators > 0) & ((first_child + low + 1) * step <= keys)
-            node = first_child + np.where(right, low + 1, 0)
+            right = (separators > 0) & (first + low * step <= keys)
+            node = tree.child_indexes(depth, node, np.where(right, low + 1, 0))
             shape.append(separators)
             layout.append((probe_column, len(columns)))
             if interleave:
-                child = tree.node_address((depth + 1, 0)) + node * node_size
+                child = tree.node_addresses(depth + 1, node)
                 columns += (child, child + node_size - 1)
-        first = node * entries_per_leaf
-        count = np.minimum(entries_per_leaf, tree.n_entries - first)
+        first, step, count = tree.key_entries(leaf_depth, node)
         shape.append(count)
-        slots = tree.node_address((leaf_depth, 0)) + NODE_HEADER_BYTES
-        slots = slots + node * node_size + count * key_size
         low = np.zeros_like(node)
         size = count.copy()
         compared: list = []  # leaf position of each comparison; the final last
@@ -943,23 +937,14 @@ class _TreeModel(_AddressModel):
             half = size // 2
             probe = low + half
             compared.append((probe, half > 0))
-            low = np.where(first + probe <= keys, probe, low)
+            low = np.where(first + probe * step <= keys, probe, low)
             size -= half
         compared.append((low, np.ones_like(low, dtype=bool)))
-        leaves = node.tolist()
-        leaf_value = tree.leaf_value
-        entry_base = view.address_of(0)
         leaf_column = len(columns)
         for position, issued in compared:
-            code = np.array(
-                [
-                    leaf_value((leaf_depth, leaf), at)
-                    for leaf, at in zip(leaves, position.tolist())
-                ],
-                dtype=np.int64,
-            )
-            slot = slots + position * tree.value_size
-            entry = entry_base + code * entry_size
+            code = tree.leaf_values(node, position)
+            slot = tree.leaf_value_addresses(node, position)
+            entry = view.address_of(code)
             columns += (slot, entry)
             loads += ((slot[issued], entry_size), (entry[issued], entry_size))
         if any(
@@ -968,7 +953,7 @@ class _TreeModel(_AddressModel):
             self.reason = "line_straddle"
             return
         # ``code`` is the final comparison's: the key's code if it matched.
-        self.results = np.where(first + low == keys, code, INVALID_CODE).tolist()
+        self.results = np.where(first + low * step == keys, code, INVALID_CODE).tolist()
         self.addresses = np.stack(columns, axis=1).ravel()
         self.stride = len(columns)
         classes, firsts, inverse = np.unique(

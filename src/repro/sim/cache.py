@@ -122,10 +122,6 @@ class SetAssociativeCache:
         lines included.
 
         One loop with its state in locals instead of a call per line.
-        Into a cold cache, a range that fits every set it maps to (each
-        receives at most ``ceil(count / n_sets)`` lines) needs no
-        residency or capacity check: every line is new to its set, and
-        none evicts — the LLC warm-up of an experiment's fresh memory.
         """
         count = stop - first
         if count <= 0:
@@ -134,18 +130,14 @@ class SetAssociativeCache:
         assoc = self.associativity
         sets = self._sets
         evictions = 0
-        if count <= n_sets * assoc and not any(sets):
-            for line in range(first, stop):
-                sets[line % n_sets][line] = None
-        else:
-            for line in range(first, stop):
-                ways = sets[line % n_sets]
-                if line in ways:
-                    del ways[line]
-                elif len(ways) >= assoc:
-                    del ways[next(iter(ways))]
-                    evictions += 1
-                ways[line] = None
+        for line in range(first, stop):
+            ways = sets[line % n_sets]
+            if line in ways:
+                del ways[line]
+            elif len(ways) >= assoc:
+                del ways[next(iter(ways))]
+                evictions += 1
+            ways[line] = None
         self.stats.installs += count
         self.stats.evictions += evictions
 

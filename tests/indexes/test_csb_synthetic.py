@@ -1,5 +1,6 @@
 """Tests for the implicit (address-computed) CSB+-tree."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,3 +115,52 @@ class TestProperties:
         tree = make_tree(n, node_size=64)
         for probe in {0, n // 2, n - 1, n}:
             assert run_stream(csb_lookup_stream(tree, probe, False)) == tree.search(probe)
+
+
+class TestLayoutOverArrays:
+    """The layout methods give over an array of node indexes what the
+    TreeInterface methods give node by node."""
+
+    @given(
+        n=st.integers(1, 30_000),
+        node_size=st.sampled_from([48, 64, 128, 256]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_arrays_equal_per_node(self, n, node_size):
+        tree = make_tree(n, node_size=node_size, code_fn=lambda e: e * 7 % n)
+        for depth in range(tree.height):
+            width = tree.width_at[depth]
+            # The first nodes and the ragged last one.
+            index = np.unique(np.r_[np.arange(min(width, 12)), width - 1])
+            first, stride, count = tree.key_entries(depth, index)
+            addresses = tree.node_addresses(depth, index)
+            for j, node in enumerate(index.tolist()):
+                handle = (depth, node)
+                keys = tree.keys_table(handle)
+                assert tree.node_address(handle) == addresses[j]
+                assert keys.size == count[j]
+                for position in range(keys.size):
+                    assert keys.value_at(position) == first[j] + position * stride
+                    assert keys.address_of(position) == tree.key_addresses(
+                        depth, index, position
+                    )[j]
+                if tree.is_leaf(handle):
+                    last = count - 1  # each leaf's last entry
+                    assert tree.leaf_value(handle, keys.size - 1) == tree.leaf_values(
+                        index, last
+                    )[j]
+                    assert tree.leaf_value_address(
+                        handle, keys.size - 1
+                    ) == tree.leaf_value_addresses(index, last)[j]
+                else:
+                    for child in range(keys.size + 1):
+                        assert tree.child_of(handle, child) == (
+                            depth + 1,
+                            tree.child_indexes(depth, index, child)[j],
+                        )
+
+    def test_leaf_values_reject_positions_beyond_the_entries(self):
+        tree = make_tree(10, node_size=64)
+        last = tree.n_leaves - 1
+        with pytest.raises(IndexStructureError):
+            tree.leaf_values(np.array([last]), np.array([tree.leaf_entries]))
