@@ -41,18 +41,14 @@ of :mod:`repro.sim.replay` with consecutive straight-line computes
 pre-merged, plus the schedule's static instruction/slot totals, and
 :meth:`ExecutionEngine.execute_rows
 <repro.sim.engine.ExecutionEngine.execute_rows>` runs them against the
-live memory system. Under the segment rules nothing is expanded per
-key: each class's segments are lowered once and *stitched* in the
-rule's order (a search job is one class, a tree job a few, a drained
-job one per key); GP and AMAC lower their expanded ops. No generators,
-no event objects, no dispatch — and **bit-identical** cycle counts,
-search results, counters and engine RNG draws. The staging is verified
-against a real recorded trace: the first time a (technique, address
-model, group size) combination replays a class of keys, the executor's
-generators run a calibration slice of the job (with a key of every
-class it would otherwise lack) under a recording engine, and the
-schedule must reproduce that event stream byte for byte and its
-stitched rows the lowering of those events (a mismatch is a hard
+live memory system. No generators, no event objects, no dispatch —
+and **bit-identical** cycle counts, search results, counters and engine
+RNG draws. The staging is verified against a real recorded trace: the
+first time a (technique, address model, group size) combination
+replays a class of keys, the executor's generators run a calibration
+slice of the job (with a key of every class it would otherwise lack)
+under a recording engine, and the schedule must reproduce that event
+stream byte for byte (a mismatch is a hard
 :class:`~repro.errors.SimulationError`, never a silent wrong answer).
 
 This module owns only the interleaving side: which rows a technique
@@ -442,20 +438,14 @@ _OPCODES = {
 }
 
 
-def _lower_pieces(pieces: list, iter_cost: tuple, cost_model) -> tuple:
-    """Lower each op list of ``pieces`` on its own, into one row table.
-
-    Returns ``(rows, start, count, tail, instructions, advance)``: the
-    ``(3, n_rows)`` int32 rows of every piece's memory operations, back
-    to back, and per piece (numpy arrays) its first row, its row count,
-    the pending compute advance after its last row (its *tail*, not
-    emitted as a row), its retired instructions, and its total clock
-    advance (computes and prefetch issue charges).
+def _lower_rows(ops: list, iter_cost: tuple, cost_model) -> tuple:
+    """Lower symbolic ops to a ``(3, n_rows)`` row array + static totals.
 
     Instruction retirement and issue-slot accounting are *static* per
     schedule — every compute charge is known at staging time, and the
-    prefetch issue charge is fixed per prefetch row — so they are summed
-    here once instead of being re-accumulated on every replay.
+    prefetch issue charge is fixed per prefetch row — so they are
+    summed here once into ``(instructions_total, core_slots_total)``
+    instead of being re-accumulated on every replay.
     """
     issue_width = cost_model.issue_width
     fixed = {
@@ -477,123 +467,33 @@ def _lower_pieces(pieces: list, iter_cost: tuple, cost_model) -> tuple:
     opcodes: list = []
     indexes: list = []
     advances: list = []
-    starts: list = []
-    tails: list = []
-    instructions: list = []
-    advance_totals: list = []
-    for ops in pieces:
-        starts.append(len(opcodes))
-        pending_advance = 0
-        instructions_total = 0
-        advance_total = 0
-        for op in ops:
-            opcode = _OPCODES.get(op[0])
-            if opcode is not None:
-                opcodes.append(opcode)
-                indexes.append(op[1])
-                advances.append(pending_advance)
-                pending_advance = 0
-                if opcode == OP_PREFETCH or opcode == OP_PREFETCH_LINES:
-                    instructions_total += pf_instructions
-                    advance_total += pf_advance
-                continue
-            step = steps.get(op)
-            if step is None:  # ("C", cycles, instructions)
-                step = steps[op] = (_advance(op[1], op[2], issue_width), op[2])
-            pending_advance += step[0]
-            instructions_total += step[1]
-            advance_total += step[0]
-        tails.append(pending_advance)
-        instructions.append(instructions_total)
-        advance_totals.append(advance_total)
+    pending_advance = 0
+    instructions_total = 0
+    advance_total = 0
+    for op in ops:
+        opcode = _OPCODES.get(op[0])
+        if opcode is not None:
+            opcodes.append(opcode)
+            indexes.append(op[1])
+            advances.append(pending_advance)
+            pending_advance = 0
+            if opcode == OP_PREFETCH or opcode == OP_PREFETCH_LINES:
+                instructions_total += pf_instructions
+                advance_total += pf_advance
+            continue
+        step = steps.get(op)
+        if step is None:  # ("C", cycles, instructions)
+            step = steps[op] = (_advance(op[1], op[2], issue_width), op[2])
+        pending_advance += step[0]
+        instructions_total += step[1]
+        advance_total += step[0]
+    if pending_advance:
+        opcodes.append(OP_COMPUTE)
+        indexes.append(0)
+        advances.append(pending_advance)
+    core_slots_total = issue_width * advance_total - instructions_total
     rows = np.array([opcodes, indexes, advances], dtype=np.int32)
-    start = np.array(starts, dtype=np.int64)
-    count = np.diff(start, append=len(opcodes))
-    return (
-        rows, start, count, np.array(tails, dtype=np.int64),
-        np.array(instructions, dtype=np.int64), np.array(advance_totals, dtype=np.int64),
-    )
-
-
-def _assemble(lowered: tuple, pieces, bases, issue_width: int) -> tuple:
-    """Rows and totals of lowered pieces run in the order ``pieces``.
-
-    ``bases[j]`` is added to the address indexes of the ``j``-th piece's
-    rows. Each piece's leading row also takes the tails of the pieces
-    since the last one that had rows — the computes that ran in
-    between — and whatever compute is pending at the end becomes the
-    trailing ``OP_COMPUTE`` row: exactly what lowering the pieces' ops
-    concatenated gives, as advances add up independently.
-    """
-    table, start, count, tail, instructions, advance = lowered
-    pieces = np.asarray(pieces, dtype=np.int64)
-    count = count[pieces]
-    ends = np.cumsum(count)
-    begins = ends - count
-    n_rows = int(ends[-1]) if pieces.size else 0
-    rows = table[:, np.arange(n_rows) + np.repeat(start[pieces] - begins, count)]
-    rows[1] += np.repeat(np.asarray(bases, dtype=np.int64), count)
-    tails = np.concatenate(([0], np.cumsum(tail[pieces])))
-    with_rows = np.flatnonzero(count)
-    previous = np.concatenate(([0], with_rows[:-1]))
-    rows[2, begins[with_rows]] += tails[with_rows] - tails[previous]
-    pending = int(tails[-1] - (tails[with_rows[-1]] if with_rows.size else 0))
-    if pending:
-        trailing = np.array([[OP_COMPUTE], [0], [pending]], dtype=np.int32)
-        rows = np.concatenate((rows, trailing), axis=1)
-    instructions_total = int(instructions[pieces].sum())
-    advance_total = int(advance[pieces].sum())
-    return rows, (instructions_total, issue_width * advance_total - instructions_total)
-
-
-def _lower_rows(ops: list, iter_cost: tuple, cost_model) -> tuple:
-    """Lower symbolic ops to a ``(3, n_rows)`` row array + static totals
-    ``(instructions_total, core_slots_total)``."""
-    lowered = _lower_pieces([ops], iter_cost, cost_model)
-    return _assemble(lowered, [0], [0], cost_model.issue_width)
-
-
-# ----------------------------------------------------------------------
-# Stitching: segment rules from per-class templates
-# ----------------------------------------------------------------------
-#
-# Under a segment rule a schedule is a sequence of whole segments plus
-# switch and frame ops. An address model groups its keys into classes
-# whose segments are the same ops up to a per-key offset of the address
-# indexes (``key * model.stride``): a search job is one class, a tree
-# job a few node-shape classes, and a drained job one class per key
-# (stride 0: its indexes are absolute). Each class's segments are
-# lowered once, and the rule's order picks them, key by key.
-
-
-def _stitch(technique: str, model, group_size: int, cost_model) -> tuple:
-    """Rows and totals of a segment rule's schedule over ``model``'s keys.
-
-    Equal to ``_lower_rows(_schedule_ops(...))`` without expanding or
-    lowering a segment per key.
-    """
-    templates = model.templates
-    pieces = [segment for segments in templates for segment in segments]
-    fixed = {_FRAME: len(pieces), _SWITCH["coro"]: len(pieces) + 1}
-    pieces += ([_FRAME], [_SWITCH["coro"]])
-    lowered = _lower_pieces(pieces, model.iter_cost, cost_model)
-    sizes = np.array([len(segments) for segments in templates])
-    first_piece = (np.cumsum(sizes) - sizes)[model.key_class].tolist()
-    ops = _RULES[technique](sizes[model.key_class].tolist(), group_size)
-    order = [
-        first_piece[op[1]] + op[2] if op[0] == "S" else fixed[op] for op in ops
-    ]
-    keys = [op[1] if op[0] == "S" else 0 for op in ops]
-    bases = np.asarray(keys, dtype=np.int64) * model.stride
-    return _assemble(lowered, order, bases, cost_model.issue_width)
-
-
-def _stage(technique: str, model, group_size: int, cost_model) -> tuple:
-    """The rows and totals of ``technique``'s schedule over ``model``."""
-    if technique in _SEARCH_RULES:
-        ops = _schedule_ops(technique, model, group_size)
-        return _lower_rows(ops, model.iter_cost, cost_model)
-    return _stitch(technique, model, group_size, cost_model)
+    return rows, (instructions_total, core_slots_total)
 
 
 #: In-process schedule memo: signature tuple -> (rows, totals), least
@@ -654,7 +554,7 @@ def _int64_values(values) -> bool:
 
 
 class _AddressModel:
-    """What every address model gives the interleave rules and stitcher.
+    """What every address model gives the interleave rules.
 
     ``templates[c]`` lists class ``c``'s segments (op lists whose address
     indexes are relative to a key's block of ``stride`` addresses),
@@ -686,7 +586,9 @@ class _AddressModel:
     def schedule(self, technique: str, group_size: int, cost_model) -> tuple:
         """Stage this job's rows and totals (they belong to the job)."""
         started = perf_counter()
-        staged = _stage(technique, self, group_size, cost_model)
+        staged = _lower_rows(
+            _schedule_ops(technique, self, group_size), self.iter_cost, cost_model
+        )
         _STATS["compiled_schedules"] += 1
         _STATS["schedule_compile_s"] += perf_counter() - started
         return staged
@@ -719,12 +621,10 @@ class _SearchModel(_AddressModel):
         costs = costs.for_table(table)
         self.iter_cost = (costs.iter_cycles, costs.iter_instructions)
         self.kind = ("search", speculative, verify)
-        self.key_class = np.zeros(len(values), dtype=np.int64)
 
-    @property
-    def templates(self) -> list:
+    def counts(self) -> list:
         resumes = self.depth + 1 if self.interleave else 1
-        return [[self.segment(0, segment) for segment in range(resumes)]]
+        return [resumes] * len(self.values)
 
     def load(self, key: int, it: int) -> tuple:
         tag = "SL" if self.speculative else "L"
@@ -775,7 +675,9 @@ class _SearchModel(_AddressModel):
             _STATS["schedule_cache_hits"] += 1
             return staged
         started = perf_counter()
-        staged = _stage(technique, self, group_size, cost_model)
+        staged = _lower_rows(
+            _schedule_ops(technique, self, group_size), self.iter_cost, cost_model
+        )
         memo[signature] = staged
         held = sum(rows.shape[1] for rows, _totals in memo.values())
         while held > _MEMO_ROW_BUDGET and len(memo) > 1:
@@ -1164,9 +1066,8 @@ def _validate_staging(executor, tasks, model, group_size: int, arch) -> None:
     one, plus the first key of each such class the slice lacks — under a
     :class:`_RecordingEngine`. Their event stream (addresses, sizes,
     ``spec_next`` predictions and compute charges included) must equal
-    the staged ops expanded with the model's addresses, the results the
-    model's, and a segment rule's stitched rows the lowering of those
-    ops. Covers the schedule structure end to end: prologue allocations,
+    the staged ops expanded with the model's addresses, and the results
+    the model's. Covers the schedule structure end to end: prologue allocations,
     refill timing, partial final generations, per-key segment counts,
     the per-visit event mix, and every class's template.
     """
@@ -1208,12 +1109,6 @@ def _validate_staging(executor, tasks, model, group_size: int, arch) -> None:
             expected == recorder.trace
             and list(recorded_results) == list(staged_results)
         )
-    if faithful and technique in _RULES:
-        rows, totals = _lower_rows(ops, calibrated.iter_cost, cost)
-        started = perf_counter()
-        stitched, stitched_totals = _stitch(technique, calibrated, group_size, cost)
-        _STATS["schedule_compile_s"] += perf_counter() - started
-        faithful = stitched_totals == totals and np.array_equal(stitched, rows)
     if not faithful:
         raise SimulationError(
             f"staged {technique!r} schedule (group_size={group_size}, "

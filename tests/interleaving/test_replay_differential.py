@@ -19,8 +19,7 @@ model, and materialized ones by draining each key's stream. Those
 draws, and ``std`` jobs, also vary the engine's seed and start it cold,
 warm (a settled warm-up run) or mid-flight (a warm-up run with fills
 still in flight), and the engine's RNG state must match the reference
-too. Schedules stitched from per-class templates must equal lowering
-every expanded op, for search, tree and drained jobs alike.
+too.
 
 Jobs that can not compile (depth-0 tables, elements that can straddle a
 cache line, tracer-on engines, engine subclasses, ablation
@@ -541,20 +540,6 @@ class TestStagingValidation:
         with pytest.raises(SimulationError, match="does not reproduce"):
             self._run(name, tasks)
 
-    def test_wrong_stitch_raises(self, _unvalidated, monkeypatch):
-        """Stitched rows that differ from the lowered ops are refused even
-        when the ops themselves match the generators."""
-        stitch = _unvalidated._stitch
-
-        def off_by_one(*args):
-            rows, totals = stitch(*args)
-            rows[2, 0] += 1
-            return rows, totals
-
-        monkeypatch.setattr(_unvalidated, "_stitch", off_by_one)
-        with pytest.raises(SimulationError, match="does not reproduce"):
-            self._run("CORO", self._main())
-
     def test_wrong_interleave_rule_raises(self, _unvalidated, monkeypatch):
         delta = DeltaDictionary.implicit(AddressSpaceAllocator(), "d", 16_000)
         monkeypatch.setitem(_unvalidated._RULES, "coro", _unvalidated._rule_sequential)
@@ -562,57 +547,27 @@ class TestStagingValidation:
             self._run("CORO", BulkLookup.locate(delta, [0, 5, 3_999, 4_001]))
 
 
-stitch_jobs = st.fixed_dictionaries(
-    {
-        "technique": st.sampled_from(("sequential", "baseline", "std", "coro")),
-        "store": st.sampled_from(
-            (
-                "sorted", "main-implicit", "main-strings",
-                "delta-implicit", "delta-narrow", "delta-values",
-            )
+class TestAddressModels:
+    @pytest.mark.parametrize(
+        "store, model",
+        (
+            ("main-implicit", "_SearchModel"),
+            ("main-strings", "_SearchModel"),
+            ("delta-implicit", "_TreeModel"),
+            ("delta-narrow", "_TreeModel"),
+            ("delta-values", "_DrainedModel"),
         ),
-        "arch": st.sampled_from(ARCHES),
-        "size": st.one_of(st.integers(2, 3), st.integers(2, 5_000)),
-        "group_size": st.integers(1, 16),
-        "raw": st.lists(st.integers(0, 1 << 30), min_size=1, max_size=40),
-    }
-)
-
-
-class TestStitching:
-    """Stitched per-class templates equal lowering every expanded op."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(job=stitch_jobs)
-    def test_stitched_rows_equal_lowered_ops(self, job):
+    )
+    def test_store_picks_its_model(self, store, model):
+        """Implicit Delta locates are staged in closed form; only
+        materialized trees are drained."""
         from repro.interleaving import compiled
 
-        technique, store = job["technique"], job["store"]
-        if technique == "std":  # sorted arrays only
-            store = "sorted"
-        if store == "sorted":
-            table = int_array_of_bytes(AddressSpaceAllocator(), "t", job["size"] * 4)
-            tasks = BulkLookup.sorted_array(table, _keys("int", job["size"], job["raw"]))
-        else:
-            dictionary, key_of = _dictionary(store, job["size"], len(job["raw"]))
-            tasks = BulkLookup.locate(dictionary, [key_of(raw) for raw in job["raw"]])
-        cost = job["arch"].cost
-        model = compiled._address_model(technique, tasks, job["arch"].line_size)
-        assert model.reason is None
-        models = {
-            "delta-implicit": "_TreeModel",
-            "delta-narrow": "_TreeModel",
-            "delta-values": "_DrainedModel",
-        }
-        assert type(model).__name__ == models.get(store, "_SearchModel")
-        ops = compiled._schedule_ops(technique, model, job["group_size"])
-        rows, totals = compiled._lower_rows(ops, model.iter_cost, cost)
-        stitched, stitched_totals = compiled._stitch(
-            technique, model, job["group_size"], cost
-        )
-        assert stitched.dtype == rows.dtype
-        assert stitched.tolist() == rows.tolist()
-        assert stitched_totals == totals
+        dictionary, key_of = _dictionary(store, 2_000, 8)
+        tasks = BulkLookup.locate(dictionary, [key_of(raw) for raw in range(0, 800, 50)])
+        chosen = compiled._address_model("coro", tasks, HASWELL.line_size)
+        assert chosen.reason is None
+        assert type(chosen).__name__ == model
 
 
 class TestScheduleMemo:
