@@ -36,14 +36,14 @@ module does the Python-simulator equivalent, in two parts:
   count, and GP and AMAC (rewrites for sorted arrays only) step through
   the search depth.
 
-The events are lowered to the ``(opcode, address_index, advance)`` rows
-of :mod:`repro.sim.replay` with consecutive straight-line computes
-pre-merged, plus the schedule's static instruction/slot totals, and
-:meth:`ExecutionEngine.execute_rows
+The ordered events are lowered to the ``(opcode, address_index,
+advance)`` rows of :mod:`repro.sim.replay` with consecutive
+straight-line computes pre-merged, plus the schedule's static
+instruction/slot totals, and :meth:`ExecutionEngine.execute_rows
 <repro.sim.engine.ExecutionEngine.execute_rows>` runs them against the
-live memory system. No generators, no event objects, no dispatch —
-and **bit-identical** cycle counts, search results, counters and engine
-RNG draws. The staging is verified against a real recorded trace: the
+live memory system. No generators, no event objects, no dispatch — and
+**bit-identical** cycle counts, search results, counters and engine RNG
+draws. The staging is verified against a real recorded trace: the
 first time a (technique, address model, group size) combination
 replays a class of keys, the executor's generators run a calibration
 slice of the job (with a key of every class it would otherwise lack)
@@ -586,9 +586,8 @@ class _AddressModel:
     def schedule(self, technique: str, group_size: int, cost_model) -> tuple:
         """Stage this job's rows and totals (they belong to the job)."""
         started = perf_counter()
-        staged = _lower_rows(
-            _schedule_ops(technique, self, group_size), self.iter_cost, cost_model
-        )
+        ops = _schedule_ops(technique, self, group_size)
+        staged = _lower_rows(ops, self.iter_cost, cost_model)
         _STATS["compiled_schedules"] += 1
         _STATS["schedule_compile_s"] += perf_counter() - started
         return staged
@@ -675,9 +674,8 @@ class _SearchModel(_AddressModel):
             _STATS["schedule_cache_hits"] += 1
             return staged
         started = perf_counter()
-        staged = _lower_rows(
-            _schedule_ops(technique, self, group_size), self.iter_cost, cost_model
-        )
+        ops = _schedule_ops(technique, self, group_size)
+        staged = _lower_rows(ops, self.iter_cost, cost_model)
         memo[signature] = staged
         held = sum(rows.shape[1] for rows, _totals in memo.values())
         while held > _MEMO_ROW_BUDGET and len(memo) > 1:
