@@ -744,8 +744,9 @@ def _profile_main(argv: list[str]) -> int:
 
     # Compilable runs replay staged schedules; the staging cost (a
     # one-time compile) is reported separately from the replay cost so
-    # the profile is not misread as "replay is slow", and runs that took
-    # their generators instead are counted by reason.
+    # the profile is not misread as "replay is slow", the schedules the
+    # memo keeps for later points are listed, and runs that took their
+    # generators instead are counted by reason.
     reset_compiled_stats()
     try:
         _result, report = profile_call(point, top=args.top)
@@ -762,6 +763,10 @@ def _profile_main(argv: list[str]) -> int:
             f"replay_s={timings['replay_s']:.4f}"
         )
     stats = compiled_stats()
+    print(
+        f"schedule memo: schedules={stats['memo_schedules']} "
+        f"rows={stats['memo_rows']}"
+    )
     if stats["fallbacks"]:
         reasons = " ".join(
             f"{reason}={count}"

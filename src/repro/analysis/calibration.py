@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.config import HASWELL, ArchSpec
+from repro.config import HASWELL
 from repro.interleaving.model import (
     InterleavingParams,
     estimate_group_size,
@@ -20,6 +20,7 @@ from repro.interleaving.model import (
 )
 
 from repro.analysis.experiments import measure_binary_search
+from repro.perf import default_runner
 
 __all__ = ["GroupSizeEstimate", "estimate_best_group_sizes", "switch_points_for"]
 
@@ -43,26 +44,33 @@ def estimate_best_group_sizes(
     *,
     size_bytes: int = 256 << 20,
     n_lookups: int | None = None,
-    arch: ArchSpec = HASWELL,
 ) -> dict[str, GroupSizeEstimate]:
-    """Profile Baseline and each technique at G=1; apply Inequality 1."""
-    baseline = measure_binary_search(
-        size_bytes, "Baseline", n_lookups=n_lookups, arch=arch
+    """Profile Baseline and each technique at G=1; apply Inequality 1.
+
+    The four profiles run as one sweep, spelled the way Figure 7's grid
+    spells its points, so a result cache answers the three G=1 profiles
+    Figure 7 has just measured instead of simulating them again.
+    """
+    techniques = ("GP", "AMAC", "CORO")
+    baseline, *profiles = default_runner().map(
+        measure_binary_search,
+        [{"size_bytes": size_bytes, "technique": "Baseline"}]
+        + [
+            {"size_bytes": size_bytes, "technique": technique, "group_size": 1}
+            for technique in techniques
+        ],
+        common={"n_lookups": n_lookups},
     )
-    iterations = switch_points_for(size_bytes)
+    switch_points = baseline.n_lookups * switch_points_for(size_bytes)
+    lfbs = HASWELL.n_line_fill_buffers
     estimates: dict[str, GroupSizeEstimate] = {}
-    for technique in ("GP", "AMAC", "CORO"):
-        g1 = measure_binary_search(
-            size_bytes, technique, group_size=1, n_lookups=n_lookups, arch=arch
-        )
-        switch_points = baseline.n_lookups * iterations
+    for technique, g1 in zip(techniques, profiles):
         params = params_from_profiles(baseline.tmam, g1.tmam, switch_points)
         uncapped = estimate_group_size(baseline.tmam, g1.tmam, switch_points)
-        capped = min(uncapped, arch.n_line_fill_buffers)
         estimates[technique] = GroupSizeEstimate(
             technique=technique,
             params=params,
-            estimate=capped,
-            lfb_capped=uncapped > arch.n_line_fill_buffers,
+            estimate=min(uncapped, lfbs),
+            lfb_capped=uncapped > lfbs,
         )
     return estimates

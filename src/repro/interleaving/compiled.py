@@ -127,10 +127,16 @@ _STATS = {
 
 
 def compiled_stats() -> dict:
-    """Plain-dict view of the compile/replay/fallback counters."""
+    """Plain-dict view of the compile/replay/fallback counters.
+
+    ``memo_schedules`` and ``memo_rows`` say what the schedule memo holds
+    now; unlike the counters, they are not zeroed by a reset.
+    """
     stats = dict(_STATS)
     stats["fallbacks_by_reason"] = dict(_STATS["fallbacks_by_reason"])
     stats["fallbacks_by_executor"] = dict(_STATS["fallbacks_by_executor"])
+    stats["memo_schedules"] = len(_SCHEDULE_MEMO)
+    stats["memo_rows"] = _memo_rows()
     return stats
 
 
@@ -501,8 +507,16 @@ def _lower_rows(ops: list, iter_cost: tuple, cost_model) -> tuple:
 _SCHEDULE_MEMO: OrderedDict = OrderedDict()
 
 #: Rows the memo keeps before it evicts its least recently used
-#: schedules (12 bytes a row; the newest schedule always stays).
-_MEMO_ROW_BUDGET = 1 << 21
+#: schedules (12 bytes a row; the newest schedule always stays). Sweeps
+#: recall a schedule on the pass right after it stages (a point's
+#: warm-up, then its measured pass), and a serving run's whole schedule
+#: set is about 55,000 rows, so a larger memo only holds dead schedules.
+_MEMO_ROW_BUDGET = 1 << 16
+
+
+def _memo_rows() -> int:
+    """Rows the schedule memo holds."""
+    return sum(rows.shape[1] for rows, _totals in _SCHEDULE_MEMO.values())
 
 
 # ----------------------------------------------------------------------
@@ -677,7 +691,7 @@ class _SearchModel(_AddressModel):
         ops = _schedule_ops(technique, self, group_size)
         staged = _lower_rows(ops, self.iter_cost, cost_model)
         memo[signature] = staged
-        held = sum(rows.shape[1] for rows, _totals in memo.values())
+        held = _memo_rows()
         while held > _MEMO_ROW_BUDGET and len(memo) > 1:
             _signature, (rows, _totals) = memo.popitem(last=False)
             held -= rows.shape[1]

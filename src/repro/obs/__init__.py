@@ -32,58 +32,54 @@ flags gate every hot-path hook, so un-traced runs charge bit-identical
 cycle counts.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.spans import (
-    NULL_RECORDER,
-    NullRecorder,
-    RecordingStream,
-    Span,
-    SpanRecorder,
-    SPAN_KINDS,
-)
-from repro.obs.export import (
-    chrome_trace,
-    run_summary,
-    spans_jsonl,
-    write_run_artifacts,
-)
-from repro.obs.hist import Exemplar, ExemplarHistogram, nearest_rank
-from repro.obs.rtrace import (
-    NULL_REQUEST_TRACER,
-    NullRequestTracer,
-    RequestTracer,
-    critical_path,
-    request_chrome_trace,
-    request_traces_jsonl,
-    trace_errors,
-)
-from repro.obs.slo import SLO_SCHEMA, burn_analysis
+import importlib as _importlib
 
-__all__ = [
-    "Counter",
-    "Exemplar",
-    "ExemplarHistogram",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_RECORDER",
-    "NULL_REQUEST_TRACER",
-    "NullRecorder",
-    "NullRequestTracer",
-    "RecordingStream",
-    "RequestTracer",
-    "SLO_SCHEMA",
-    "Span",
-    "SpanRecorder",
-    "SPAN_KINDS",
-    "burn_analysis",
-    "chrome_trace",
-    "critical_path",
-    "nearest_rank",
-    "request_chrome_trace",
-    "request_traces_jsonl",
-    "run_summary",
-    "spans_jsonl",
-    "trace_errors",
-    "write_run_artifacts",
-]
+#: Module -> the names this package re-exports from it. They are imported
+#: on first access, so a module that needs only the metrics registry
+#: does not load the tracers and exporters.
+_EXPORTS = {
+    "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "repro.obs.spans": (
+        "NULL_RECORDER",
+        "NullRecorder",
+        "RecordingStream",
+        "Span",
+        "SpanRecorder",
+        "SPAN_KINDS",
+    ),
+    "repro.obs.export": (
+        "chrome_trace",
+        "run_summary",
+        "spans_jsonl",
+        "write_run_artifacts",
+    ),
+    "repro.obs.hist": ("Exemplar", "ExemplarHistogram", "nearest_rank"),
+    "repro.obs.rtrace": (
+        "NULL_REQUEST_TRACER",
+        "NullRequestTracer",
+        "RequestTracer",
+        "critical_path",
+        "request_chrome_trace",
+        "request_traces_jsonl",
+        "trace_errors",
+    ),
+    "repro.obs.slo": ("SLO_SCHEMA", "burn_analysis"),
+}
+
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
+    value = getattr(_importlib.import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = list(_LAZY)

@@ -23,24 +23,45 @@ caller's back; the CLI and benchmark harness opt in explicitly.
 
 from __future__ import annotations
 
+import importlib as _importlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.cache import ResultCache, default_cache_dir
-from repro.perf.fingerprint import FINGERPRINT_PATHS, code_fingerprint
-from repro.perf.profiling import profile_call
-from repro.perf.sweep import SweepRunner, Task, resolve_jobs
+
+if TYPE_CHECKING:
+    from repro.perf.cache import ResultCache
+    from repro.perf.sweep import SweepRunner
+
+#: Module -> the names this package re-exports from it. They are imported
+#: on first access, so ``from repro.perf import ResultCache`` loads no
+#: process pool, multiprocessing or profiler machinery.
+_EXPORTS = {
+    "repro.perf.cache": ("ResultCache", "default_cache_dir"),
+    "repro.perf.fingerprint": ("FINGERPRINT_PATHS", "code_fingerprint"),
+    "repro.perf.profiling": ("profile_call",),
+    "repro.perf.sweep": ("SweepRunner", "Task", "resolve_jobs"),
+}
+
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module 'repro.perf' has no attribute {name!r}")
+    value = getattr(_importlib.import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
-    "ResultCache",
-    "SweepRunner",
-    "Task",
-    "code_fingerprint",
-    "FINGERPRINT_PATHS",
-    "default_cache_dir",
-    "profile_call",
-    "resolve_jobs",
+    *_LAZY,
     "configure",
     "overrides",
     "default_runner",
@@ -78,6 +99,8 @@ def default_runner() -> SweepRunner:
     runner re-mounts itself under ``perf.sweep`` in :data:`metrics`, so
     a snapshot reflects the most recent sweep.
     """
+    from repro.perf.sweep import SweepRunner
+
     runner = SweepRunner(jobs=_config.jobs, cache=_config.cache)
     runner.register_metrics(metrics)
     return runner

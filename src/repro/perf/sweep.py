@@ -30,8 +30,6 @@ dies outright (crash, ``os._exit``) surfaces as
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -141,6 +139,10 @@ class SweepRunner:
     def _run_parallel(
         self, pending: Sequence[tuple[int, Task, str | None]]
     ) -> list[Any]:
+        # Imported here: a serial sweep never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         jobs = min(self.jobs, len(pending))
         payload = [
             (slot, task.fn, tuple(task.args), dict(task.kwargs))

@@ -40,10 +40,15 @@ The kernel performs the integer arithmetic of :mod:`~repro.sim.engine`,
 :mod:`~repro.sim.memory`, :mod:`~repro.sim.tlb`, :mod:`~repro.sim.lfb`
 and :mod:`~repro.sim.cache` with every helper (LFB drain, fill start,
 page walk) inlined into one loop and the statistics held in local
-integers, written back once at the end. Its source is generated from
-the templates below and compiled once per process; the machine's
-geometry, latencies and LFB capacity are arguments, so one kernel
-serves every machine and every fault-injected change to it.
+integers, written back once at the end. Each machine step appears once
+per role: every memory row runs the one charged translation and the one
+drain at ``clock``, both loads share one demand-load body (its L1 hit,
+LFB merge and fill start yield ``ready``, and one exposed-stall charge
+follows), and both prefetches share one loop over the lines they touch,
+draining between lines. Its source is generated from the templates below
+and compiled once per process; the machine's geometry, latencies and LFB
+capacity are arguments, so one kernel serves every machine and every
+fault-injected change to it.
 """
 
 from __future__ import annotations
@@ -285,12 +290,19 @@ else:
 
 
 def _kernel_src() -> str:
-    """The whole replay loop: one function over rows and machine parameters."""
+    """The whole replay loop: one function over rows and machine parameters.
+
+    Every memory row runs one charged translation and one drain at
+    ``clock``; between them sits its kind's pre-step (a speculative
+    load's branch resolution, a prefetch's issue advance). Loads then
+    share one demand-load body, and prefetches one loop over the lines
+    they touch (one line for ``OP_PREFETCH``).
+    """
     return f"""\
 def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
            l1_sets, l2_sets, l3_sets, dtlb_sets, stlb_sets, walks_by_level,
            clock, next_completion, peak_occupancy, *,
-           l1_n, l1_a, l1_tail, l2_n, l2_a, l2_latency, l3_n, l3_a, l3_latency,
+           l1_n, l1_a, l2_n, l2_a, l2_latency, l3_n, l3_a, l3_latency,
            dram_latency, dtlb_n, dtlb_a, stlb_n, stlb_a, stlb_latency,
            lfb_capacity, ooo_hide, walk_base, walk_l1_cycles, walk_l1_charged,
            prefetch_advance, l1_latency, ooo_hide_spec, spec_delay,
@@ -313,64 +325,23 @@ def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
     for op, a, advance in rows:
         if advance:
             clock += advance
-        if op == {OP_LOAD}:
-{indent(_translate_src(), " " * 12)}
-{indent(_drain_src("clock"), " " * 12)}
-            line = lines[a]
-            ways = l1_sets[line % l1_n]
-            if ways.pop(line, 0) is None:
-                ways[line] = None
-                l1_hits += 1
-                loads_l1 += 1
-                if l1_tail:
-                    exposed_stall += l1_tail
-                    clock += l1_tail
-                continue
-            l1_misses += 1
-            req = in_flight.get(line)
-            if req is not None:
-                req.non_temporal = False
-                req.is_prefetch = False
-                loads_lfb += 1
-                exposed = req.completion_cycle - clock - ooo_hide
-                if exposed > 0:
-                    exposed_stall += exposed
-                    clock += exposed
-                continue
-{indent(_start_fill_src("line", "clock", "False", "False"), " " * 12)}
-{indent(_ISSUE_STALL_SRC, " " * 12)}
-            if fill_source == "L2":
-                loads_l2 += 1
-            elif fill_source == "L3":
-                loads_l3 += 1
+        if op == {OP_COMPUTE}:
+            continue
+{indent(_translate_src(), " " * 8)}
+        if op != {OP_LOAD}:
+            if op == {OP_SPEC_LOAD}:
+                if predicted >= 0:
+                    branches += 1
+                    if predicted != lines[a]:
+                        mispredicts += 1
+                        clock += mispredict_penalty
+                    predicted = -1
+                issued_at = clock
             else:
-                loads_dram += 1
-            exposed = fill_completion - clock - ooo_hide
-            if exposed > 0:
-                exposed_stall += exposed
-                clock += exposed
-        elif op == {OP_PREFETCH}:
-{indent(_translate_src(), " " * 12)}
-            clock += prefetch_advance
-{indent(_drain_src("clock"), " " * 12)}
-            line = lines[a]
-            prefetch_count += 1
-            if line in l1_sets[line % l1_n] or line in in_flight:
-                prefetch_useless += 1
-            else:
-{indent(_start_fill_src("line", "clock", "True", "True"), " " * 16)}
-{indent(_ISSUE_STALL_SRC, " " * 16)}
-        elif op == {OP_SPEC_LOAD}:
-{indent(_translate_src(), " " * 12)}
-            if predicted >= 0:
-                branches += 1
-                if predicted != lines[a]:
-                    mispredicts += 1
-                    clock += mispredict_penalty
-                predicted = -1
-            issued_at = clock
-{indent(_drain_src("clock"), " " * 12)}
-            line = lines[a]
+                clock += prefetch_advance
+{indent(_drain_src("clock"), " " * 8)}
+        line = lines[a]
+        if op == {OP_LOAD} or op == {OP_SPEC_LOAD}:
             ways = l1_sets[line % l1_n]
             if ways.pop(line, 0) is None:
                 ways[line] = None
@@ -397,9 +368,7 @@ def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
                     else:
                         loads_dram += 1
                     ready = fill_completion
-            if lines[a + 1] < 0:
-                exposed = ready - clock - ooo_hide
-            else:
+            if op == {OP_SPEC_LOAD} and lines[a + 1] >= 0:
                 spec = a + choice(CANDIDATES)
                 spec_issue = ready - ooo_hide_spec
                 if spec_issue < issued_at:
@@ -416,16 +385,14 @@ def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
 {indent(_start_fill_src("line", "spec_issue", "False", "True"), " " * 20)}
                 predicted = line
                 exposed = ready - clock - ooo_hide_spec
+            else:
+                exposed = ready - clock - ooo_hide
             if exposed > 0:
                 exposed_stall += exposed
                 clock += exposed
-        elif op == {OP_PREFETCH_LINES}:
-{indent(_translate_src(), " " * 12)}
-            clock += prefetch_advance
-            line = lines[a]
-            last = lines[a + 1]
+        else:
+            last = lines[a + 1] if op == {OP_PREFETCH_LINES} else line
             while True:
-{indent(_drain_src("clock"), " " * 16)}
                 prefetch_count += 1
                 if line in l1_sets[line % l1_n] or line in in_flight:
                     prefetch_useless += 1
@@ -435,6 +402,7 @@ def kernel(rows, lines, vpns, pte_lines, in_flight, heap, seq,
                 if line == last:
                     break
                 line += 1
+{indent(_drain_src("clock"), " " * 16)}
     return (clock, next_completion, peak_occupancy,
             exposed_stall, translation_stall, lfb_stall,
             dtlb_hits, stlb_hits, walk_cycles_delta,
@@ -507,9 +475,6 @@ def _replay_rows(engine, rows, addresses, totals: tuple) -> None:
         tlb.stats.walks_by_level,
         entry_clock, lfbs._next_completion, lfbs.peak_occupancy,
         l1_n=l1.n_sets, l1_a=l1.associativity,
-        # An L1 hit's exposed latency is a constant, usually zero: the
-        # out-of-order window hides short latencies entirely.
-        l1_tail=max(0, l1.latency - ooo_hide),
         l2_n=l2.n_sets, l2_a=l2.associativity, l2_latency=l2.latency,
         l3_n=l3.n_sets, l3_a=l3.associativity, l3_latency=l3.latency,
         dram_latency=engine.arch.dram_latency + memory.extra_dram_latency,

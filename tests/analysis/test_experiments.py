@@ -137,3 +137,23 @@ class TestMeasureQuery:
             64 * MB, "main", "interleaved", n_predicates=300, n_rows=10_000
         )
         assert inter.locate_cycles < seq.locate_cycles
+
+
+class TestFig7Calibration:
+    def test_result_cache_answers_the_g1_profiles(self, monkeypatch, tmp_path):
+        """The calibration profiles GP, AMAC and CORO at G=1 with the
+        arguments of three of Figure 7's sweep points, so a result cache
+        answers them, and the document does not change."""
+        from repro import perf
+        from repro.analysis import figures
+        from repro.perf import ResultCache
+
+        monkeypatch.setattr(figures, "lookups_per_point", lambda: 8)
+        monkeypatch.setattr(perf, "_config", perf._PerfConfig(jobs=1))
+        uncached = figures.fig7_data()
+        cache = ResultCache(tmp_path)
+        with perf.overrides(cache=cache):
+            cached = figures.fig7_data()
+        assert cached == uncached
+        # 36 sweep points and the Baseline profile miss; the G=1 profiles hit.
+        assert (cache.hits, cache.misses, cache.stores) == (3, 37, 37)

@@ -1,5 +1,7 @@
 """Tests for the CLI and the figure-regeneration entry points."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -49,6 +51,9 @@ class TestProfileVerb:
         out = capsys.readouterr().out
         assert "measure_query" in out and "staged schedules:" in out
         assert "generator fallbacks" not in out
+        # The Main locate schedules stay in the memo after the point.
+        memo = re.search(r"^schedule memo: schedules=(\d+) rows=(\d+)$", out, re.M)
+        assert memo and int(memo[1]) >= 1 and int(memo[2]) > 0
 
     def test_fallbacks_reported_by_reason(self, capsys, monkeypatch):
         """A profiled point that runs generators says so, and why."""

@@ -589,3 +589,50 @@ class TestScheduleMemo:
         assert stats["compiled_schedules"] == 3 and stats["schedule_cache_hits"] == 1
         # An evicted schedule restages and still replays bit-identically.
         assert _run(coro, tasks, HASWELL, 3) == _reference(coro, tasks, HASWELL, 3)
+
+    def test_schedule_beyond_the_budget_is_recalled_by_the_next_replay(
+        self, monkeypatch
+    ):
+        """A sweep point's warm-up pass stages the schedule its measured
+        pass recalls, however large: the newest schedule always stays."""
+        from repro.interleaving import compiled
+
+        monkeypatch.setattr(compiled, "_SCHEDULE_MEMO", type(compiled._SCHEDULE_MEMO)())
+        tasks = _small_tasks()
+        gp = get_executor("GP")
+        reset_compiled_stats()
+        warm = _run(gp, tasks, HASWELL, 4)
+        rows = compiled_stats()["memo_rows"]
+        monkeypatch.setattr(compiled, "_MEMO_ROW_BUDGET", rows // 2)
+        _run(gp, tasks, HASWELL, 5)  # restages over the budget, evicting G=4
+        measured = _run(gp, tasks, HASWELL, 5)
+        stats = compiled_stats()
+        assert stats["compiled_schedules"] == 2 and stats["schedule_cache_hits"] == 1
+        assert stats["memo_schedules"] == 1 and stats["memo_rows"] > rows // 2
+        assert [key[3] for key in compiled._SCHEDULE_MEMO] == [5]
+        assert warm == _reference(gp, tasks, HASWELL, 4)
+        assert measured == _reference(gp, tasks, HASWELL, 5)
+
+    def test_memo_holds_at_most_its_budget_and_its_newest_schedule(self, monkeypatch):
+        from repro.interleaving import compiled
+
+        monkeypatch.setattr(compiled, "_SCHEDULE_MEMO", type(compiled._SCHEDULE_MEMO)())
+        memo = compiled._SCHEDULE_MEMO
+        reset_compiled_stats()
+        _run(get_executor("CORO"), _small_tasks(1 << 12), HASWELL, 2)
+        budget = 3 * compiled_stats()["memo_rows"] // 2
+        monkeypatch.setattr(compiled, "_MEMO_ROW_BUDGET", budget)
+        shapes = [  # deeper tables stage longer schedules
+            ("GP", 1 << 16, 4), ("Baseline", 12, 1), ("AMAC", 1 << 10, 3),
+            ("CORO", 1 << 18, 6), ("CORO", 1 << 18, 6), ("std", 1 << 14, 1),
+            ("GP", 40, 2), ("sequential", 1 << 20, 1), ("AMAC", 1 << 10, 3),
+        ]
+        for technique, size, group_size in shapes:
+            _run(get_executor(technique), _small_tasks(size), HASWELL, group_size)
+            stats = compiled_stats()
+            held = [rows.shape[1] for rows, _totals in memo.values()]
+            assert stats["memo_schedules"] == len(held)
+            assert stats["memo_rows"] == sum(held)
+            assert sum(held) <= budget or len(held) == 1
+            assert sum(held) - held[-1] <= budget
+        assert compiled_stats()["schedule_cache_hits"] == 1

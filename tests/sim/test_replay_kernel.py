@@ -20,6 +20,7 @@ so short streams reach every hit level, evictions, STLB hits and page
 walks at every PTE level (``test_pool_reaches_every_level``).
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -106,6 +107,34 @@ _BRANCHY = [
     ("S", _at(4), None),
     ("M", _at(1), 256),
 ]
+
+#: L1 hits outlast the out-of-order window (20 cycles against 12, or 16
+#: behind a branch), so every L1 hit stalls, speculative or not, and so
+#: does a page walk whose leaf PTE is in L1.
+SLOW_L1 = HASWELL.replace(
+    name="slow-l1", l1d=dataclasses.replace(HASWELL.l1d, latency=20)
+)
+_L1_HITS = [
+    ("L", _at(0)), ("L", _at(1)), ("C", 400, 0, False),
+    ("L", _at(0)), ("S", _at(1), (_at(0), _at(1))), ("S", _at(0), None),
+    ("L", _at(24)), ("C", 400, 8, True), ("L", _at(1)),
+]
+#: A prediction that goes wrong, resolved by a load that predicts
+#: nothing; the next branchy search then starts with no prediction.
+_MISPREDICT_THEN_NONE = [
+    ("S", _at(0), (_at(1), _at(1))),
+    ("S", _at(2), None),
+    ("S", _at(3), (_at(4), _at(5))),
+    ("L", _at(4)),
+]
+#: An L2 that answers in no cycles: a node prefetch's first line, found
+#: only in L2 (page 24's line, pushed out of its L1 set by eight colliding
+#: lines that live in another L2 set), completes before the second line
+#: issues, so the drain between lines installs it.
+ZERO_L2 = HASWELL.replace(
+    name="zero-l2", l2=dataclasses.replace(HASWELL.l2, latency=0)
+)
+_IN_L2_ONLY = [("L", _at(24))] + [("L", _at(page)) for page in range(8)]
 
 
 def _lower(ops, cost) -> tuple:
@@ -248,6 +277,18 @@ class TestKernelMatchesLiveEngine:
         prefix=[("P", _at(page, 1)) for page in range(4)], shrink=0,
         ops=_BRANCHY + [("M", _at(page)) + (300,) for page in range(5, 8)],
         seed=3,
+    )
+    @example(
+        arch=SLOW_L1, lfbs=10, extra_dram_latency=0, prefix=[], shrink=None,
+        ops=_L1_HITS, seed=2,
+    )
+    @example(
+        arch=HASWELL, lfbs=10, extra_dram_latency=0, prefix=[], shrink=None,
+        ops=_MISPREDICT_THEN_NONE, seed=0,
+    )
+    @example(
+        arch=ZERO_L2, lfbs=10, extra_dram_latency=0, prefix=_IN_L2_ONLY,
+        shrink=None, ops=[("C", 1_000, 0, False), ("M", _at(24), 256)], seed=0,
     )
     def test_execute_rows_equals_event_by_event(
         self, arch, lfbs, extra_dram_latency, prefix, shrink, ops, seed

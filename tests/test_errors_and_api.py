@@ -47,19 +47,28 @@ class TestPublicApi:
         from pathlib import Path
 
         src = Path(repro.__file__).resolve().parents[1]
-        probe = (
-            "import sys, repro; "
-            "print(' '.join(sorted(n for n in sys.modules if n.startswith('repro'))))"
-        )
-        loaded = subprocess.run(
-            [sys.executable, "-c", probe],
-            check=True,
-            capture_output=True,
-            text=True,
-            cwd=src,
-        ).stdout.split()
+
+        def modules_after(imports: str) -> list[str]:
+            probe = f"import sys; {imports}; print(' '.join(sorted(sys.modules)))"
+            return subprocess.run(
+                [sys.executable, "-c", probe],
+                check=True,
+                capture_output=True,
+                text=True,
+                cwd=src,
+            ).stdout.split()
+
+        loaded = [name for name in modules_after("import repro") if name.startswith("repro")]
         heavy = {"service", "cluster", "control", "scenario", "query", "faults"}
         assert not heavy & {name.split(".")[1] for name in loaded if "." in name}, loaded
+        # What a CLI or benchmark worker imports before its first sweep.
+        loaded = modules_after(
+            "import repro; from repro import api; from repro.perf import ResultCache"
+        )
+        unwanted = {
+            "concurrent.futures", "multiprocessing", "repro.perf.sweep", "repro.obs.rtrace"
+        }
+        assert not unwanted & set(loaded), sorted(unwanted & set(loaded))
 
     def test_version(self):
         major, minor, patch = repro.__version__.split(".")
