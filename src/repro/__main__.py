@@ -777,7 +777,15 @@ def _profile_main(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run one command, then restore the process-wide sweep settings
+    (``--jobs``, the result cache) it applied."""
+    from repro import perf
+
+    with perf.overrides():
+        return _main(list(sys.argv[1:] if argv is None else argv))
+
+
+def _main(argv: list[str]) -> int:
     if argv and argv[0] == "list":
         return _list_main(argv[1:])
     if argv and argv[0] == "trace":

@@ -43,10 +43,8 @@ from repro.interleaving.executor import (
     register_executor,
 )
 from repro.interleaving.compiled import (
-    compiled_metrics_source,
     compiled_stats,
     compiled_timings,
-    register_compiled_metrics,
     reset_compiled_stats,
 )
 from repro.interleaving.gp import gp_binary_search_bulk
@@ -94,10 +92,8 @@ __all__ = [
     "choose_policy",
     "choose_policy_for_bytes",
     "default_group_size",
-    "compiled_metrics_source",
     "compiled_stats",
     "compiled_timings",
-    "register_compiled_metrics",
     "reset_compiled_stats",
     "EXECUTOR_REGISTRY",
     "WORKLOAD_KINDS",

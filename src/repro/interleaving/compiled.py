@@ -10,25 +10,22 @@ module does the Python-simulator equivalent, in two parts:
 
 * an **address model** per workload kind gives each key's *segments* —
   the events between two suspension points, one segment per resume —
-  its probe addresses, and its result:
+  as one template per class of keys, plus every key's probe addresses
+  and result, all in closed form:
 
   - :class:`_SearchModel` covers binary searches over a sorted table:
     sorted-array jobs (the branchy ``std`` search included) and Main
     dictionary locates (the search plus the exact-match load). Every
-    key follows the same size-halving recurrence, so its segments are
-    one template, and one numpy pass computes the whole probe matrix
-    for identity arrays (a pure-Python pass covers arbitrary monotone
+    key follows the same size-halving recurrence, so all keys are one
+    class, and one numpy pass computes the whole probe matrix for
+    identity arrays (a pure-Python pass covers arbitrary monotone
     tables). Its schedules are memoized per shape;
   - :class:`_TreeModel` covers integer locates in an implicit Delta
     dictionary (Delta's CSB+-tree walk with code-dereferencing leaves,
     on an identity :class:`~repro.indexes.csb_tree_synthetic.
     ImplicitCSBTree`): one numpy recurrence per depth gives every key's
     addresses and code from the tree's geometry, and keys fall into at
-    most ``height + 1`` node-shape classes, one segment template each;
-  - :class:`_DrainedModel` covers the locates nothing closed-form does
-    (materialized or non-identity trees, non-integer keys): each key's
-    stream runs once, engine-free, and is split at every suspension.
-  Tree and drained rows belong to one job.
+    most ``height + 1`` node-shape classes. Its rows belong to one job.
 
 * an **interleave rule** per technique orders the segments:
   ``sequential``, ``Baseline`` and ``std`` run each key's segments back
@@ -57,17 +54,16 @@ and nothing here touches its private state.
 
 There is no separate compiled executor: ``std``, ``Baseline``, ``GP``,
 ``AMAC``, ``CORO`` and ``sequential`` declare a schedule key and route
-every run through :func:`run_staged`, which replays when the job
-compiles — a sorted-array or dictionary-locate job whose loads never
-straddle a cache line, on a plain
-:class:`~repro.sim.engine.ExecutionEngine` whose tracer is off, run by a
-default executor instance — and otherwise runs the executor's
-generators and counts the fallback by executor and by reason
+every run through :func:`run_staged`, which alone decides whether a job
+replays: a sorted-array job or a locate an address model covers, whose
+loads never straddle a cache line, on a plain
+:class:`~repro.sim.engine.ExecutionEngine` whose tracer is off, run by
+an executor without ``executor_options``. Every other job runs the
+executor's generators and counts the fallback by executor and by reason
 (``workload_kind``, ``tracer``, ``engine_subclass``, ``shallow_table``,
 ``line_straddle``, ``executor_options``). Opaque stream jobs never
-replay: a stream may read the outcome of its own events. The counters
-are exported through ``repro.perf.metrics`` under
-``interleaving.compiled``.
+replay: a stream may read the outcome of its own events.
+:func:`compiled_stats` is the one view of the counters.
 
 Staged search schedules are memoized in-process as compact integer
 arrays, least recently used first out once the memo holds more than
@@ -88,7 +84,6 @@ from repro.indexes.base import INVALID_CODE
 from repro.indexes.binary_search import EXACT_MATCH_COST
 from repro.indexes.csb_tree import ROUTE_COST, SINGLE_CHILD_COST
 from repro.sim.engine import ExecutionEngine
-from repro.sim.events import Compute, Load, Prefetch, Suspend
 from repro.sim.replay import (
     NO_PREDICTION,
     OP_COMPUTE,
@@ -102,15 +97,13 @@ from repro.sim.replay import (
 __all__ = [
     "compiled_stats",
     "compiled_timings",
-    "compiled_metrics_source",
-    "register_compiled_metrics",
     "reset_compiled_stats",
     "run_staged",
     "search_depth",
 ]
 
 # ----------------------------------------------------------------------
-# Counters and timings (exported via repro.perf.metrics)
+# Counters and timings
 # ----------------------------------------------------------------------
 
 _STATS = {
@@ -146,29 +139,6 @@ def compiled_timings() -> dict:
         "schedule_compile_s": _STATS["schedule_compile_s"],
         "replay_s": _STATS["replay_s"],
     }
-
-
-def compiled_metrics_source() -> dict:
-    """Metrics-source view of the counters (see ``register_compiled_metrics``).
-
-    The headline counter is ``compiled_fallbacks`` — runs of a
-    schedule-bearing executor that took its generators instead of
-    replaying a staged schedule.
-    """
-    stats = compiled_stats()
-    stats["compiled_fallbacks"] = stats.pop("fallbacks")
-    return stats
-
-
-def register_compiled_metrics(registry, prefix: str = "interleaving.compiled") -> None:
-    """Mount the compile/replay/fallback counters on an obs registry.
-
-    The counters are process-global (the schedule memo they describe
-    is too), so the source is opt-in per
-    :class:`~repro.obs.metrics.MetricsRegistry` rather than wired into
-    every engine.
-    """
-    registry.register_source(prefix, compiled_metrics_source)
 
 
 def reset_compiled_stats() -> None:
@@ -216,20 +186,19 @@ def _generators_only():
 def run_staged(executor, tasks, engine, group_size: int) -> list:
     """Run ``tasks`` through ``executor``'s staged schedule when it compiles.
 
-    ``executor.schedule`` names the interleave rule and
-    ``executor._fallback_reason(tasks, engine)`` says why a job can not
-    replay (``None`` when it can); a tree or drained job can still turn
-    out not to compile (an access that straddles a cache line, an event
-    the kernel has no row for). A job that can not runs the executor's
-    generators (``executor._run``), counted as a fallback.
+    ``executor.schedule`` names the interleave rule. A job that
+    :func:`_fallback_reason` turns away, that no address model covers
+    (``workload_kind``), or whose tree model finds a load straddling a
+    cache line, runs the executor's generators (``executor._run``),
+    counted as a fallback.
     """
     if _GENERATORS_ONLY or not tasks.inputs:
         return executor._run(tasks, engine, group_size)
     technique = executor.schedule
-    reason = executor._fallback_reason(tasks, engine)
+    reason = _fallback_reason(executor, tasks, engine)
     if reason is None:
         model = _address_model(technique, tasks, engine.arch.line_size)
-        reason = model.reason
+        reason = "workload_kind" if model is None else model.reason
     if reason is not None:
         _count_fallback(executor.name, reason)
         return executor._run(tasks, engine, group_size)
@@ -404,17 +373,30 @@ _SEARCH_RULES = {"gp": _rule_gp, "amac": _rule_amac}
 
 
 def _schedule_ops(technique: str, model, group_size: int) -> list:
-    """The technique's ops over ``model``'s keys, segments expanded."""
+    """The technique's ops over ``model``'s keys, segments expanded.
+
+    A key's segment is its class's template with the address indexes
+    moved to the key's block of ``model.stride`` addresses.
+    """
     builder = _SEARCH_RULES.get(technique)
     if builder is not None:
         return builder(model, len(model.values), group_size)
+    templates = model.templates
+    key_class = model.key_class.tolist()
+    stride = model.stride
     ops: list = []
     extend = ops.extend
     append = ops.append
-    segment = model.segment
-    for op in _RULES[technique](model.counts(), group_size):
+    counts = [len(templates[c]) for c in key_class]
+    for op in _RULES[technique](counts, group_size):
         if op[0] == "S":
-            extend(segment(op[1], op[2]))
+            key = op[1]
+            base = key * stride
+            extend([
+                (event[0], event[1] + base, event[2])
+                if event[0] in _OPCODES else event
+                for event in templates[key_class[key]][op[2]]
+            ])
         else:
             append(op)
     return ops
@@ -459,9 +441,8 @@ def _lower_rows(ops: list, iter_cost: tuple, cost_model) -> tuple:
         _SWITCH["coro"]: cost_model.coro_switch,
         _SWITCH["amac"]: cost_model.amac_switch,
         _SWITCH["gp"]: cost_model.gp_switch,
+        _ITER: iter_cost,
     }
-    if iter_cost is not None:  # drained models carry their computes as "C"
-        fixed[_ITER] = iter_cost
     steps = {
         op: (_advance(cycles, instructions, issue_width), instructions)
         for op, (cycles, instructions) in fixed.items()
@@ -519,22 +500,64 @@ def _memo_rows() -> int:
     return sum(rows.shape[1] for rows, _totals in _SCHEDULE_MEMO.values())
 
 
+def _cost_key(cost) -> tuple:
+    """The cost-model charges a staged schedule's ops are lowered with."""
+    return (
+        cost.issue_width,
+        tuple(cost.coro_switch),
+        tuple(cost.amac_switch),
+        tuple(cost.gp_switch),
+        (cost.frame_alloc_cycles, cost.frame_alloc_instructions),
+        (cost.prefetch_issue_cycles, cost.prefetch_issue_instructions),
+    )
+
+
 # ----------------------------------------------------------------------
-# Address models: each key's segments, addresses and result
+# Address models: which jobs replay, each key's segments and addresses
 # ----------------------------------------------------------------------
+
+
+def _fallback_reason(executor, tasks, engine) -> str | None:
+    """Why ``tasks`` can not replay, judged before any model is built.
+
+    ``None`` lets the job through to :func:`_address_model`. Reasons are
+    checked, and so counted, in this order.
+    """
+    # Workload kinds as executor.py names them (it imports this module).
+    if tasks.kind == "sorted_array":
+        table = tasks.target
+    elif tasks.kind == "locate":
+        table = getattr(tasks.target, "array", None)  # Main's sorted table
+    else:
+        # Opaque streams may branch on their own events' outcomes.
+        return "workload_kind"
+    if engine.tracer.enabled:
+        return "tracer"  # span recorders need the live event stream
+    if type(engine) is not ExecutionEngine:
+        return "engine_subclass"
+    if tasks.kind == "sorted_array" and table.size < 2:
+        return "shallow_table"  # search depth 0
+    if table is not None:
+        element_size = table.element_size
+        if engine.arch.line_size % element_size or table.region.base % element_size:
+            return "line_straddle"  # replay loads exactly one line per probe
+    if executor.executor_options:
+        return "executor_options"
+    return None
 
 
 def _address_model(technique: str, tasks, line_size: int):
-    """The address model of a job ``_fallback_reason`` let through.
+    """The address model of a job :func:`_fallback_reason` let through.
 
     Sorted-array jobs, and locates in a dictionary that binary-searches
     a sorted table (a Main dictionary exposes it as ``array``), get a
     :class:`_SearchModel`; integer locates in a dictionary indexed by an
-    identity implicit CSB+-tree (an implicit Delta) a :class:`_TreeModel`;
-    every other locate job is drained.
+    identity implicit CSB+-tree (an implicit Delta) a :class:`_TreeModel`.
+    Any other locate (a materialized ``CSBTree`` Delta, a non-identity
+    tree, keys numpy can not hold as ``int64``) has none: ``None``.
     """
     interleave = technique == "coro"
-    if tasks.kind == "sorted_array":  # executor.SORTED_ARRAY (it imports us)
+    if tasks.kind == "sorted_array":
         return _SearchModel(
             tasks.target, tasks.inputs, tasks.costs,
             interleave=interleave, speculative=technique == "std", verify=False,
@@ -554,9 +577,7 @@ def _address_model(technique: str, tasks, line_size: int):
         and _int64_values(tasks.inputs)
     ):
         return _TreeModel(tasks.target, tasks.inputs, tasks.costs, interleave, line_size)
-    from repro.interleaving.executor import _stream_factory
-
-    return _DrainedModel(_stream_factory(tasks), tasks.inputs, interleave, line_size)
+    return None
 
 
 def _int64_values(values) -> bool:
@@ -573,35 +594,44 @@ class _AddressModel:
     ``templates[c]`` lists class ``c``'s segments (op lists whose address
     indexes are relative to a key's block of ``stride`` addresses),
     ``key_class[key]`` is the class of each key, ``kind`` names the model
-    in signatures, and :meth:`probes` returns the flat addresses and
+    in signatures, ``iter_cost`` is one search iteration's ``(cycles,
+    instructions)``, and :meth:`probes` returns the flat addresses and
     per-key results. ``reason`` says why the job can not replay, if so.
+    ``memo_key`` is what the rows depend on besides the technique, group
+    size, ``iter_cost``, ``kind`` and cost model, or ``None`` when they
+    belong to one job.
     """
 
     reason = None
-    stride = 0
-
-    def counts(self) -> list:
-        """Resumes (segments) of every key."""
-        sizes = [len(segments) for segments in self.templates]
-        return [sizes[c] for c in self.key_class.tolist()]
-
-    def segment(self, key: int, segment: int) -> list:
-        """Key's ``segment``-th segment, its address indexes made absolute."""
-        base = key * self.stride
-        return [
-            (op[0], op[1] + base, op[2]) if op[0] in _OPCODES else op
-            for op in self.templates[self.key_class[key]][segment]
-        ]
+    memo_key = None
 
     def representatives(self) -> dict:
         """Validation class -> the first key of it (one class by default)."""
         return {(): 0}
 
     def schedule(self, technique: str, group_size: int, cost_model) -> tuple:
-        """Stage this job's rows and totals (they belong to the job)."""
+        """Stage this job's rows and totals, or recall them from the memo."""
+        memo = _SCHEDULE_MEMO
+        signature = None
+        if self.memo_key is not None:
+            signature = (
+                technique, *self.memo_key, group_size, self.iter_cost,
+                _cost_key(cost_model), self.kind,
+            )
+            staged = memo.get(signature)
+            if staged is not None:
+                memo.move_to_end(signature)
+                _STATS["schedule_cache_hits"] += 1
+                return staged
         started = perf_counter()
         ops = _schedule_ops(technique, self, group_size)
         staged = _lower_rows(ops, self.iter_cost, cost_model)
+        if signature is not None:
+            memo[signature] = staged
+            held = _memo_rows()
+            while held > _MEMO_ROW_BUDGET and len(memo) > 1:
+                _signature, (rows, _totals) = memo.popitem(last=False)
+                held -= rows.shape[1]
         _STATS["compiled_schedules"] += 1
         _STATS["schedule_compile_s"] += perf_counter() - started
         return staged
@@ -611,13 +641,13 @@ class _SearchModel(_AddressModel):
     """A binary search over a sorted table: one recurrence for every key.
 
     Every key runs the size-halving recurrence of the shared search, so
-    the schedule — which rows, in which order — depends only on the
-    number of keys, the search depth and the group size: it is staged
-    once per shape and memoized, and per-key divergence lives entirely in
-    the probe *addresses*. Each key owns a block of ``stride``
-    addresses: probe ``it`` at ``width * it`` (a branchy search follows
-    each probe with its two predicted successors, ``width`` 3), then the
-    exact-match load of a locate. All keys are one class.
+    all keys are one class, and the schedule — which rows, in which
+    order — depends only on the number of keys, the search depth and the
+    group size: it is staged once per shape and memoized, and per-key
+    divergence lives entirely in the probe *addresses*. Each key owns a
+    block of ``stride`` addresses: probe ``it`` at ``width * it`` (a
+    branchy search follows each probe with its two predicted successors,
+    ``width`` 3), then the exact-match load of a locate.
     """
 
     def __init__(self, table, values, costs, *, interleave, speculative, verify):
@@ -634,10 +664,7 @@ class _SearchModel(_AddressModel):
         costs = costs.for_table(table)
         self.iter_cost = (costs.iter_cycles, costs.iter_instructions)
         self.kind = ("search", speculative, verify)
-
-    def counts(self) -> list:
-        resumes = self.depth + 1 if self.interleave else 1
-        return [resumes] * len(self.values)
+        self.memo_key = (len(values), self.depth)
 
     def load(self, key: int, it: int) -> tuple:
         tag = "SL" if self.speculative else "L"
@@ -646,58 +673,28 @@ class _SearchModel(_AddressModel):
     def prefetch(self, key: int, it: int) -> tuple:
         return ("P", key * self.stride + it, self.size)
 
-    def segment(self, key: int, segment: int) -> list:
-        """Resume ``segment`` of key's search (the whole search unless
-        interleaved): the load and iteration the previous suspension
-        waited for, then the next prefetch, or the exact-match check."""
+    @property
+    def templates(self) -> list:
+        """The one class's segments: the whole search unless interleaved,
+        else one per resume — the load and iteration the previous
+        suspension waited for, then the next prefetch — and a locate's
+        exact-match check at the end."""
+        segments: list = []
         ops: list = []
-        if not self.interleave:
-            for it in range(self.depth):
-                ops += (self.load(key, it), _ITER)
-        else:
-            if segment:
-                ops += (self.load(key, segment - 1), _ITER)
-            if segment < self.depth:
-                ops.append(self.prefetch(key, segment))
-                return ops
+        for it in range(self.depth):
+            if self.interleave:
+                ops.append(self.prefetch(0, it))
+                segments.append(ops)
+                ops = []
+            ops += (self.load(0, it), _ITER)
         if self.verify:
-            check = ("L", key * self.stride + self.stride - 1, self.size)
-            ops += (check, ("C", *EXACT_MATCH_COST))
-        return ops
+            ops += (("L", self.stride - 1, self.size), ("C", *EXACT_MATCH_COST))
+        segments.append(ops)
+        return [segments]
 
-    def schedule(self, technique: str, group_size: int, cost_model) -> tuple:
-        """Stage (or recall) the flattened rows and totals for this shape."""
-        signature = (
-            technique,
-            len(self.values),
-            self.depth,
-            group_size,
-            self.iter_cost,
-            tuple(cost_model.coro_switch),
-            tuple(cost_model.amac_switch),
-            tuple(cost_model.gp_switch),
-            (cost_model.frame_alloc_cycles, cost_model.frame_alloc_instructions),
-            (cost_model.prefetch_issue_cycles, cost_model.prefetch_issue_instructions),
-            cost_model.issue_width,
-            self.kind,
-        )
-        memo = _SCHEDULE_MEMO
-        staged = memo.get(signature)
-        if staged is not None:
-            memo.move_to_end(signature)
-            _STATS["schedule_cache_hits"] += 1
-            return staged
-        started = perf_counter()
-        ops = _schedule_ops(technique, self, group_size)
-        staged = _lower_rows(ops, self.iter_cost, cost_model)
-        memo[signature] = staged
-        held = _memo_rows()
-        while held > _MEMO_ROW_BUDGET and len(memo) > 1:
-            _signature, (rows, _totals) = memo.popitem(last=False)
-            held -= rows.shape[1]
-        _STATS["compiled_schedules"] += 1
-        _STATS["schedule_compile_s"] += perf_counter() - started
-        return staged
+    @property
+    def key_class(self) -> np.ndarray:
+        return np.zeros(len(self.values), dtype=np.intp)
 
     def probes(self) -> tuple:
         """Flat address list (key-major blocks) and per-key results.
@@ -920,87 +917,6 @@ def _tree_template(shape: tuple, layout: list, geometry: tuple, interleave: bool
     return segments
 
 
-class _DrainedModel(_AddressModel):
-    """Lookups whose streams are each drained once, engine-free.
-
-    Runs every key's stream to completion without an engine and splits
-    its events at each suspension point into *segments*, one per resume.
-    This is exact only for streams that never read the outcome of an
-    event (a ``Prefetch`` answer, say) — the dictionary ``locate``
-    streams, whose control flow depends on the looked-up values alone.
-    It stages what nothing closed-form covers: materialized CSB+-trees,
-    non-identity trees and non-integer keys. Each key is its own class
-    (its ops carry absolute address indexes); drained rows belong to one
-    job, so they bypass the schedule memo. ``reason`` names why the job
-    can not replay: an access straddling a cache line, or an event the
-    kernel has no row for.
-    """
-
-    kind = ("drained",)
-    iter_cost = None
-
-    def __init__(self, factory, values, interleave: bool, line_size: int) -> None:
-        self.values = values
-        started = perf_counter()
-        try:
-            self.reason = self._drain(factory, interleave, line_size)
-        finally:
-            _STATS["schedule_compile_s"] += perf_counter() - started
-
-    def _drain(self, factory, interleave: bool, line_size: int) -> str | None:
-        addresses: list = []
-        results: list = []
-        segments: list = []
-        add = addresses.append
-        for value in self.values:
-            stream = factory(value, interleave)
-            send = stream.send
-            current: list = []
-            key_segments = [current]
-            append = current.append
-            try:
-                while True:
-                    event = send(None)
-                    kind = type(event)
-                    if kind is Load:
-                        addr, size = event.addr, event.size
-                        if event.spec_next is not None:
-                            return "workload_kind"
-                        if addr % line_size + size > line_size:
-                            return "line_straddle"
-                        append(("L", len(addresses), size))
-                        add(addr)
-                    elif kind is Compute:
-                        append(("C", event.cycles, event.instructions))
-                    elif kind is Suspend:
-                        current = []
-                        key_segments.append(current)
-                        append = current.append
-                    elif kind is Prefetch and event.nta:
-                        addr, size = event.addr, event.size
-                        last = addr + size - 1
-                        if addr // line_size == last // line_size:
-                            append(("P", len(addresses), size))
-                            add(addr)
-                        else:
-                            append(("PL", len(addresses), size))
-                            add(addr)
-                            add(last)
-                    else:
-                        return "workload_kind"
-            except StopIteration as stop:
-                results.append(stop.value)
-            segments.append(key_segments)
-        self.addresses = addresses
-        self.results = results
-        self.templates = segments
-        self.key_class = np.arange(len(segments))
-        return None
-
-    def probes(self) -> tuple:
-        return self.addresses, self.results
-
-
 # ----------------------------------------------------------------------
 # Trace recording: the staging is checked against the live executor
 # ----------------------------------------------------------------------
@@ -1085,17 +1001,7 @@ def _validate_staging(executor, tasks, model, group_size: int, arch) -> None:
     """
     technique = executor.schedule
     cost = arch.cost
-    signature = (
-        technique,
-        model.kind,
-        group_size,
-        cost.issue_width,
-        tuple(cost.coro_switch),
-        tuple(cost.amac_switch),
-        tuple(cost.gp_switch),
-        (cost.frame_alloc_cycles, cost.frame_alloc_instructions),
-        (cost.prefetch_issue_cycles, cost.prefetch_issue_instructions),
-    )
+    signature = (technique, model.kind, group_size, _cost_key(cost))
     missing = {
         shape: key
         for shape, key in model.representatives().items()

@@ -159,10 +159,13 @@ class BulkLookup:
 
         ``dictionary.locate_stream(value, interleave, costs)`` is the
         lookup coroutine. Unlike an opaque :meth:`stream` job, a locate
-        stream never reads the outcome of its events, which is what lets
-        the staged replay drain it once without an engine; a dictionary
-        whose locate binary-searches a sorted table exposes that table
-        as ``array`` (Main), and replay then models it in closed form.
+        stream never reads the outcome of its events, so the staged
+        replay can model it in closed form: a dictionary whose locate
+        binary-searches a sorted table exposes that table as ``array``
+        (Main), and an implicit Delta exposes its identity CSB+-tree as
+        ``tree`` and its entries as ``dict_view`` (replayed for keys that
+        fit in ``int64``). Any other locate runs its executor's
+        generators.
         """
         return cls(LOCATE, dictionary, tuple(values), costs)
 
@@ -290,6 +293,9 @@ class _ExecutorBase:
     #: replays this technique's compilable jobs; ``None`` always runs
     #: the generators.
     schedule: str | None = None
+    #: Whether this instance runs options its staged schedule does not
+    #: model (its jobs then run the generators).
+    executor_options = False
 
     def supports(self, workload_kind: str) -> bool:
         return workload_kind in self.workload_kinds
@@ -335,34 +341,6 @@ class _ExecutorBase:
         if self.schedule is None:
             return self._run(tasks, engine, group_size)
         return compiled.run_staged(self, tasks, engine, group_size)
-
-    def _fallback_reason(self, tasks: BulkLookup, engine: ExecutionEngine) -> str | None:
-        """Why ``tasks`` can not replay the staged schedule (``None``: it can).
-
-        A drained locate job (Delta) can still fall back once drained;
-        see :func:`repro.interleaving.compiled.run_staged`.
-        """
-        if tasks.kind not in (SORTED_ARRAY, LOCATE):
-            # Opaque streams may branch on their own events' outcomes.
-            return "workload_kind"
-        if engine.tracer.enabled:
-            return "tracer"  # span recorders need the live event stream
-        if type(engine) is not ExecutionEngine:
-            return "engine_subclass"
-        if tasks.kind == SORTED_ARRAY:
-            table = tasks.target
-            if compiled.search_depth(table.size) < 1:
-                return "shallow_table"
-        else:
-            # Main locates search a sorted table; Delta locates are
-            # drained, and every drained load is checked instead.
-            table = getattr(tasks.target, "array", None)
-            if table is None:
-                return None
-        element_size = table.element_size
-        if engine.arch.line_size % element_size or table.region.base % element_size:
-            return "line_straddle"  # replay loads exactly one line per probe
-        return None
 
     def _run(
         self, tasks: BulkLookup, engine: ExecutionEngine, group_size: int
@@ -517,15 +495,13 @@ class CoroExecutor(_ExecutorBase):
             frame_pool=self._frame_pool,
         )
 
-    def _fallback_reason(self, tasks, engine):
-        reason = super()._fallback_reason(tasks, engine)
-        if reason is None and (
+    @property
+    def executor_options(self) -> bool:
+        return (
             not self._recycle_frames
             or self.switch_kind != "coro"
             or self._frame_pool is not None
-        ):
-            return "executor_options"
-        return reason
+        )
 
 
 @register_executor

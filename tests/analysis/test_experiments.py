@@ -149,7 +149,6 @@ class TestFig7Calibration:
         from repro.perf import ResultCache
 
         monkeypatch.setattr(figures, "lookups_per_point", lambda: 8)
-        monkeypatch.setattr(perf, "_config", perf._PerfConfig(jobs=1))
         uncached = figures.fig7_data()
         cache = ResultCache(tmp_path)
         with perf.overrides(cache=cache):

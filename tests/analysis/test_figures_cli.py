@@ -44,6 +44,28 @@ class TestCli:
         assert main(["table5", "table5"]) == 0
         assert capsys.readouterr().out.count("Table 5") == 2
 
+    def test_sweep_settings_last_only_as_long_as_the_command(self, monkeypatch):
+        """``--jobs`` and ``--no-cache`` hold while a command runs, and
+        ``main`` leaves the process-wide settings as it found them."""
+        from repro import __main__ as cli
+        from repro import perf
+
+        during = []
+        run = cli.run_experiment_data
+
+        def spy(name):
+            during.append((perf._config.jobs, perf._config.cache))
+            return run(name)
+
+        monkeypatch.setattr(cli, "run_experiment_data", spy)
+        before = (perf._config.jobs, perf._config.cache)
+        assert main(["table5", "--jobs", "3", "--no-cache"]) == 0
+        assert (perf._config.jobs, perf._config.cache) == before
+        assert main(["table5"]) == 0
+        assert (perf._config.jobs, perf._config.cache) == before
+        assert during[0] == (3, None)
+        assert isinstance(during[1][1], perf.ResultCache)
+
 
 class TestProfileVerb:
     def test_fig8_point_replays(self, capsys):

@@ -12,9 +12,8 @@ recapture the golden numbers in the same commit and say why.
 
 The second half pins the *fallback* contract: workload shapes the
 stager cannot flatten (CSB+-tree descents, skip-list streams) and
-tracer-enabled engines must take the generator path with the reason
-counted, and the counters must surface as ``compiled_fallbacks``
-through a :class:`~repro.obs.metrics.MetricsRegistry` source.
+tracer-enabled engines must take the generator path with the fallback
+counted in ``compiled_stats()`` by reason and executor.
 """
 
 import pytest
@@ -26,14 +25,11 @@ from repro.indexes.skip_list import SkipList, skip_lookup_stream
 from repro.indexes.sorted_array import int_array_of_bytes
 from repro.interleaving import (
     BulkLookup,
-    compiled_metrics_source,
     compiled_stats,
     get_executor,
-    register_compiled_metrics,
     reset_compiled_stats,
 )
 from repro.interleaving.compiled import _generators_only
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NullRecorder, SpanRecorder
 from repro.sim import ExecutionEngine
 from repro.sim.allocator import AddressSpaceAllocator
@@ -138,7 +134,7 @@ class TestCompiledFallbacks:
         got = get_executor("CORO").run(tasks, ExecutionEngine(HASWELL), group_size=4)
         assert got == expected
         stats = compiled_stats()
-        assert stats["replays"] == 0
+        assert stats["replays"] == 0 and stats["fallbacks"] == 1
         assert stats["fallbacks_by_reason"] == {"workload_kind": 1}
         assert stats["fallbacks_by_executor"] == {"CORO": 1}
 
@@ -170,17 +166,3 @@ class TestCompiledFallbacks:
         get_executor("SPP").run(tasks, ExecutionEngine(HASWELL))
         stats = compiled_stats()
         assert stats["replays"] == 0 and stats["fallbacks"] == 0
-
-    def test_fallback_counter_exported_through_metrics_registry(self):
-        reset_compiled_stats()
-        get_executor("CORO").run(
-            self._csb_tasks(), ExecutionEngine(HASWELL), group_size=4
-        )
-        source = compiled_metrics_source()
-        assert source["compiled_fallbacks"] == 1
-        assert "fallbacks" not in source  # renamed for the metrics tree
-        registry = MetricsRegistry()
-        register_compiled_metrics(registry)
-        mounted = registry.snapshot()["interleaving"]["compiled"]
-        assert mounted["compiled_fallbacks"] == 1
-        assert mounted["fallbacks_by_reason"] == {"workload_kind": 1}

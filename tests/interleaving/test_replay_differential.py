@@ -13,18 +13,19 @@ fresh engine: results, ``engine.clock`` and the whole
 Dictionary ``locate`` jobs replay under ``sequential`` and ``CORO``:
 Main dictionaries (int and string, implicit and materialized) through
 the sorted-array recurrence, with the speculative branchy search when
-sequential, implicit Delta dictionaries (256- and 48-byte nodes, and
-pinned 1 GiB and 1,801-value trees) through the closed-form CSB+-tree
-model, and materialized ones by draining each key's stream. Those
-draws, and ``std`` jobs, also vary the engine's seed and start it cold,
-warm (a settled warm-up run) or mid-flight (a warm-up run with fills
-still in flight), and the engine's RNG state must match the reference
-too.
+sequential, and implicit Delta dictionaries (256- and 48-byte nodes,
+and pinned 1 GiB and 1,801-value trees) through the closed-form
+CSB+-tree model; materialized Delta dictionaries have no address model
+and run their generators. Those draws, and ``std`` jobs, also vary the
+engine's seed and start it cold, warm (a settled warm-up run) or
+mid-flight (a warm-up run with fills still in flight), and the engine's
+RNG state must match the reference too.
 
 Jobs that can not compile (depth-0 tables, elements that can straddle a
 cache line, tracer-on engines, engine subclasses, ablation
-``CoroExecutor`` instances, non-array workloads) must run the
-generators and report their fallback reason.
+``CoroExecutor`` instances, non-array workloads, locates no address
+model covers) must run the generators and report their fallback reason,
+the first one in the order the reasons are checked.
 """
 
 import pytest
@@ -303,14 +304,18 @@ class TestLocateReplayMatchesGenerators:
             job["group_size"], job["seed"], job["state"],
         )
         assert expected == [dictionary.locate(value) for value in tasks.inputs]
-        assert stats["fallbacks"] == 0
-        assert stats["replays"] == int(bool(tasks.inputs))
+        # A materialized Delta's CSBTree has no closed-form model.
+        compiles = job["store"] != "delta-values"
+        fallbacks = {"workload_kind": 1} if tasks.inputs and not compiles else {}
+        assert stats["fallbacks_by_reason"] == fallbacks
+        assert stats["replays"] == int(bool(tasks.inputs) and compiles)
 
     @pytest.mark.parametrize("technique", ("sequential", "CORO"))
     @pytest.mark.parametrize("store", ("main-implicit", "delta-implicit"))
     def test_keys_beyond_int64(self, store, technique):
-        """Keys numpy can not hold as int64 take the models' Python paths
-        (Main's ``value_at`` walk, a Delta drain) instead of overflowing."""
+        """Keys numpy can not hold as int64 take Main's ``value_at`` walk
+        instead of overflowing; a Delta has no model for them and runs
+        its generators."""
         dictionary, _key_of = _dictionary(store, 1_000, 0)
 
         def make_tasks(warm):
@@ -320,7 +325,11 @@ class TestLocateReplayMatchesGenerators:
             get_executor(technique), make_tasks, HASWELL, 3, 0, "cold"
         )
         assert expected == [dictionary.locate(value) for value in tasks.inputs]
-        assert stats["replays"] == 1 and stats["fallbacks"] == 0
+        if store == "main-implicit":
+            assert stats["replays"] == 1 and stats["fallbacks"] == 0
+        else:
+            assert stats["replays"] == 0
+            assert stats["fallbacks_by_reason"] == {"workload_kind": 1}
 
     @settings(
         max_examples=40,
@@ -416,20 +425,38 @@ class TestFallbackReasons:
 
     @pytest.mark.parametrize("store", ("materialized", "implicit"))
     def test_delta_straddle_charges_its_staging_time(self, store):
-        """A Delta job whose tree model or drain finds a straddling load
-        falls back, and the staging time it took is still charged."""
+        """An implicit Delta job whose tree model finds a straddling load
+        falls back, and the staging time it took is still charged; a
+        materialized one has no model, so it falls back unstaged."""
         values = [(i * 37) % 1_000 for i in range(300)]
-        if store == "materialized":  # drained: the 12-byte entries straddle
+        if store == "materialized":  # no model, whatever its entries
             delta = DeltaDictionary.from_values(
                 AddressSpaceAllocator(), "d", values, element_size=12
             )
-        else:  # tree model: the 12-byte separators straddle too
+            reason = "workload_kind"
+        else:  # tree model: the 12-byte separators straddle
             delta = DeltaDictionary.implicit(
                 AddressSpaceAllocator(), "d", 12_000, element_size=12
             )
+            reason = "line_straddle"
         tasks = BulkLookup.locate(delta, values[:40])
-        self._assert_fallback(lambda: get_executor("sequential"), tasks, "line_straddle")
-        assert compiled_stats()["schedule_compile_s"] > 0
+        self._assert_fallback(lambda: get_executor("sequential"), tasks, reason)
+        staged = compiled_stats()["schedule_compile_s"] > 0
+        assert staged == (store == "implicit")
+
+    def test_reasons_are_checked_in_order(self):
+        """A job that fails two checks counts the earlier one: the table's
+        depth before the executor's options, and the tracer before the
+        missing address model of a materialized Delta."""
+        self._assert_fallback(
+            lambda: CoroExecutor(recycle_frames=False), _small_tasks(size=1),
+            "shallow_table",
+        )
+        delta = DeltaDictionary.from_values(AddressSpaceAllocator(), "d", [9, 3, 5, 1])
+        self._assert_fallback(
+            lambda: get_executor("CORO"), BulkLookup.locate(delta, [3, 4, 9]),
+            "tracer", recorder=SpanRecorder(),
+        )
 
     @pytest.mark.parametrize("name", ("CORO", "sequential"))
     def test_stream_workload(self, name):
@@ -555,19 +582,27 @@ class TestAddressModels:
             ("main-strings", "_SearchModel"),
             ("delta-implicit", "_TreeModel"),
             ("delta-narrow", "_TreeModel"),
-            ("delta-values", "_DrainedModel"),
+            ("delta-values", None),
         ),
     )
     def test_store_picks_its_model(self, store, model):
-        """Implicit Delta locates are staged in closed form; only
-        materialized trees are drained."""
+        """Main and implicit Delta locates are staged in closed form; a
+        materialized Delta has no model and runs its generators, counted."""
         from repro.interleaving import compiled
 
         dictionary, key_of = _dictionary(store, 2_000, 8)
         tasks = BulkLookup.locate(dictionary, [key_of(raw) for raw in range(0, 800, 50)])
         chosen = compiled._address_model("coro", tasks, HASWELL.line_size)
-        assert chosen.reason is None
-        assert type(chosen).__name__ == model
+        reset_compiled_stats()
+        _run(get_executor("CORO"), tasks, HASWELL, 3)
+        stats = compiled_stats()
+        if model is None:
+            assert chosen is None
+            assert stats["replays"] == 0
+            assert stats["fallbacks_by_reason"] == {"workload_kind": 1}
+        else:
+            assert chosen.reason is None and type(chosen).__name__ == model
+            assert stats["replays"] == 1 and stats["fallbacks"] == 0
 
 
 class TestScheduleMemo:
