@@ -742,8 +742,8 @@ def _profile_main(argv: list[str]) -> int:
             f"n={n})"
         )
 
-    # Compilable runs replay staged schedules; the staging cost (a
-    # one-time compile) is reported separately from the replay cost so
+    # Compilable runs replay staged schedules; the staging and validation
+    # costs (one-time) are reported separately from the replay cost so
     # the profile is not misread as "replay is slow", the schedules the
     # memo keeps for later points are listed, and runs that took their
     # generators instead are counted by reason.
@@ -760,6 +760,7 @@ def _profile_main(argv: list[str]) -> int:
         print(
             f"staged schedules: schedule_compile_s="
             f"{timings['schedule_compile_s']:.4f} "
+            f"validation_s={timings['validation_s']:.4f} "
             f"replay_s={timings['replay_s']:.4f}"
         )
     stats = compiled_stats()

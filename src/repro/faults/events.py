@@ -190,10 +190,6 @@ class NodeFault(FaultEvent):
     def targets(self, shard: int) -> bool:
         return False
 
-    def targets_node(self, node: int) -> bool:
-        """Whether this fault applies to cluster node ``node``."""
-        return self.node is None or self.node == node
-
 
 @dataclass(frozen=True)
 class NodeCrash(NodeFault):

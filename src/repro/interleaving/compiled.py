@@ -25,27 +25,28 @@ module does the Python-simulator equivalent, in two parts:
     on an identity :class:`~repro.indexes.csb_tree_synthetic.
     ImplicitCSBTree`): one numpy recurrence per depth gives every key's
     addresses and code from the tree's geometry, and keys fall into at
-    most ``height + 1`` node-shape classes. Its rows belong to one job.
+    most ``height + 1`` classes by their probe counts. Its rows belong
+    to one job.
 
-* an **interleave rule** per technique orders the segments:
-  ``sequential``, ``Baseline`` and ``std`` run each key's segments back
-  to back, CORO resumes a group round-robin by each key's own segment
-  count, and GP and AMAC (rewrites for sorted arrays only) step through
-  the search depth.
+* an **interleave rule** per technique orders the segments by each
+  key's segment count: ``sequential``, ``Baseline`` and ``std`` run a
+  key's segments back to back, CORO resumes a group round-robin, and GP
+  and AMAC (rewrites for sorted arrays only) step a group, or a
+  refilling buffer, through alternating prefetch and access stages.
 
-The ordered events are lowered to the ``(opcode, address_index,
-advance)`` rows of :mod:`repro.sim.replay` with consecutive
-straight-line computes pre-merged, plus the schedule's static
+Templates and rules speak one op vocabulary, in which every compute the
+generators issue is a ``("C", cycles, instructions)`` op. The ordered
+ops are lowered to the ``(opcode, address_index, advance)`` rows of
+:mod:`repro.sim.replay`, consecutive computes pre-merged, plus static
 instruction/slot totals, and :meth:`ExecutionEngine.execute_rows
 <repro.sim.engine.ExecutionEngine.execute_rows>` runs them against the
-live memory system. No generators, no event objects, no dispatch — and
-**bit-identical** cycle counts, search results, counters and engine RNG
-draws. The staging is verified against a real recorded trace: the
-first time a (technique, address model, group size) combination
-replays a class of keys, the executor's generators run a calibration
-slice of the job (with a key of every class it would otherwise lack)
-under a recording engine, and the schedule must reproduce that event
-stream byte for byte (a mismatch is a hard
+live memory system: **bit-identical** cycle counts, results, counters
+and engine RNG draws, without generators or event objects. The first
+time a schedule signature (:func:`_signature`) replays a class of keys,
+the executor's generators run a calibration slice of the job (with a
+key of every class it would otherwise lack) on an engine that logs
+their events and simulates nothing, and the same ops, their address
+indexes resolved, must equal that log (a mismatch is a hard
 :class:`~repro.errors.SimulationError`, never a silent wrong answer).
 
 This module owns only the interleaving side: which rows a technique
@@ -66,8 +67,8 @@ replay: a stream may read the outcome of its own events.
 :func:`compiled_stats` is the one view of the counters.
 
 Staged search schedules are memoized in-process as compact integer
-arrays, least recently used first out once the memo holds more than
-:data:`_MEMO_ROW_BUDGET` rows.
+arrays under the same signature, least recently used first out once the
+memo holds more than :data:`_MEMO_ROW_BUDGET` rows.
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ _STATS = {
     "fallbacks_by_reason": {},
     "fallbacks_by_executor": {},
     "schedule_compile_s": 0.0,
+    "validation_s": 0.0,
     "replay_s": 0.0,
 }
 
@@ -134,10 +136,10 @@ def compiled_stats() -> dict:
 
 
 def compiled_timings() -> dict:
-    """Cumulative wallclock split: staging schedules vs replaying them."""
+    """Cumulative wallclock split: staging schedules, validating them
+    against their generators, and replaying them."""
     return {
-        "schedule_compile_s": _STATS["schedule_compile_s"],
-        "replay_s": _STATS["replay_s"],
+        key: _STATS[key] for key in ("schedule_compile_s", "validation_s", "replay_s")
     }
 
 
@@ -197,13 +199,19 @@ def run_staged(executor, tasks, engine, group_size: int) -> list:
     technique = executor.schedule
     reason = _fallback_reason(executor, tasks, engine)
     if reason is None:
+        started = perf_counter()
         model = _address_model(technique, tasks, engine.arch.line_size)
-        reason = "workload_kind" if model is None else model.reason
+        if model is None:
+            reason = "workload_kind"
+        else:  # building a model (a tree walk) is staging, even if it refuses
+            _STATS["schedule_compile_s"] += perf_counter() - started
+            reason = model.reason
     if reason is not None:
         _count_fallback(executor.name, reason)
         return executor._run(tasks, engine, group_size)
-    _validate_staging(executor, tasks, model, group_size, engine.arch)
-    rows, totals = model.schedule(technique, group_size, engine.cost)
+    signature = _signature(technique, model, group_size, engine.cost)
+    _validate_staging(executor, tasks, model, signature, engine.arch)
+    rows, totals = model.schedule(technique, group_size, engine.cost, signature)
     started = perf_counter()
     addresses, results = model.probes()
     engine.execute_rows(rows, addresses, totals)
@@ -216,25 +224,25 @@ def run_staged(executor, tasks, engine, group_size: int) -> list:
 # Symbolic ops
 # ----------------------------------------------------------------------
 #
-# Exactly one op per engine-visible event; address ops carry the flat
-# index of their address and the access size (the size only matters to
-# staging validation: replay loads one line per load):
+# Exactly one op per engine-visible event. Address ops carry an index
+# into the job's flat address list, relative to the base of the key's
+# block when they sit in a segment template; the access size only
+# matters to staging validation (replay loads one line per load):
 #   ("L", i, size)    demand load of addresses[i]
 #   ("SL", i, size)   branchy-search load of addresses[i]; addresses[i + 1]
 #                     and [i + 2] are the predicted successors, or
 #                     NO_PREDICTION (see repro.sim.replay)
 #   ("P", i, size)    PREFETCHNTA of addresses[i] (one line)
-#   ("PL", i, size)   PREFETCHNTA of addresses[i] .. addresses[i + 1]
-#   ("IT",)           one search-iteration compute
-#   ("C", c, i)       any other compute of c cycles and i instructions
-#   ("SW", kind)      one stream switch (kind: "coro" | "amac" | "gp")
+#   ("PL", i)         PREFETCHNTA of the bytes addresses[i] .. addresses[i + 1]
+#   ("C", c, i)       a compute of c cycles and i instructions: a search
+#                     iteration, a stream switch, any other straight line
 #   ("F",)            coroutine frame allocation
 # Interleave rules also emit ("S", key, segment): run the events of one
-# key's segment, the stretch between two suspension points.
+# key's segment, the stretch between two suspension points. The engine
+# charges a prefetch's issue and a frame allocation itself, so the
+# lowering charges them, not the ops.
 
-_ITER = ("IT",)
 _FRAME = ("F",)
-_SWITCH = {kind: ("SW", kind) for kind in ("coro", "amac", "gp")}
 
 
 def _halves(size: int) -> list:
@@ -252,11 +260,14 @@ def search_depth(size: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Interleave rules: the order of each technique's events
+# Interleave rules: the order of each technique's segments
 # ----------------------------------------------------------------------
+#
+# A rule sees only each key's segment count, the group size and the
+# cost model its switches are charged from.
 
 
-def _rule_sequential(counts: list, group_size: int) -> list:
+def _rule_sequential(counts: list, group_size: int, cost) -> list:
     """Baseline / sequential / std: each key runs to completion, in order."""
     return [
         ("S", key, segment)
@@ -265,7 +276,7 @@ def _rule_sequential(counts: list, group_size: int) -> list:
     ]
 
 
-def _rule_coro(counts: list, group_size: int) -> list:
+def _rule_coro(counts: list, group_size: int, cost) -> list:
     """CORO: Listing 7's round-robin with frame recycling on refill.
 
     ``counts[key]`` is the number of resumes key's coroutine takes (its
@@ -274,7 +285,7 @@ def _rule_coro(counts: list, group_size: int) -> list:
     n = len(counts)
     ops: list = []
     append = ops.append
-    switch = _SWITCH["coro"]
+    switch = ("C", *cost.coro_switch)
     group = min(group_size, n)
     # Slot state: [key, resumes_completed]; None once retired.
     slots: list = []
@@ -302,32 +313,38 @@ def _rule_coro(counts: list, group_size: int) -> list:
     return ops
 
 
-def _rule_gp(model, n: int, group_size: int) -> list:
-    """Group prefetching: lock-step blocks, prefetch stage then load stage."""
+def _rule_gp(counts: list, group_size: int, cost) -> list:
+    """Group prefetching: lock-step blocks. A key's segments alternate a
+    prefetch stage and an access stage, as many for every key of a block;
+    each iteration runs the block's prefetch stages, then its access
+    stages, each followed by GP's per-stream bookkeeping."""
     ops: list = []
     append = ops.append
-    switch = _SWITCH["gp"]
-    for start in range(0, n, group_size):
-        end = min(start + group_size, n)
-        for it in range(model.depth):
-            for key in range(start, end):
-                append(model.prefetch(key, it))
-            for key in range(start, end):
-                append(model.load(key, it))
-                append(_ITER)
+    switch = ("C", *cost.gp_switch)
+    for start in range(0, len(counts), group_size):
+        block = range(start, min(start + group_size, len(counts)))
+        for stage in range(0, counts[start], 2):
+            for key in block:
+                append(("S", key, stage))
+            for key in block:
+                append(("S", key, stage + 1))
                 append(switch)
     return ops
 
 
-def _rule_amac(model, n: int, group_size: int) -> list:
-    """AMAC: round-robin buffer of state machines, refill inside a visit."""
+def _rule_amac(counts: list, group_size: int, cost) -> list:
+    """AMAC: round-robin buffer of state machines, refill inside a visit.
+    A key's segments alternate a prefetch stage (even) and an access
+    stage (odd); each visit switches in and runs the slot's segments up
+    to the next prefetch stage, starting the next key in a finished
+    key's slot."""
+    n = len(counts)
     ops: list = []
     append = ops.append
-    switch = _SWITCH["amac"]
-    depth = model.depth
+    switch = ("C", *cost.amac_switch)
     group = min(group_size, n)
-    # Slot state: [key, prefetches_issued, stage] (0 = prefetch, 1 = access).
-    buffer: list = [[key, 0, 0] for key in range(group)]
+    # Slot state: [key, segments_run]; None once retired.
+    buffer: list = [[key, 0] for key in range(group)]
     next_input = group
     not_done = group
     while not_done:
@@ -337,69 +354,30 @@ def _rule_amac(model, n: int, group_size: int) -> list:
                 continue
             append(switch)
             while True:
-                if slot[2] == 1:  # access stage: consume the prefetched probe
-                    append(model.load(slot[0], slot[1] - 1))
-                    append(_ITER)
-                    slot[2] = 0
-                    continue
-                if slot[1] < depth:  # prefetch stage: issue and switch
-                    append(model.prefetch(slot[0], slot[1]))
-                    slot[1] += 1
-                    slot[2] = 1
-                    break
-                if next_input < n:  # done: start the next key this visit
-                    slot[0] = next_input
-                    slot[1] = 0
-                    slot[2] = 0
+                key, segment = slot
+                if segment < counts[key]:
+                    append(("S", key, segment))
+                    slot[1] = segment + 1
+                    if segment % 2 == 0:  # a prefetch stage: switch out
+                        break
+                elif next_input < n:  # done: start the next key this visit
+                    slot[:] = (next_input, 0)
                     next_input += 1
-                    continue
-                buffer[position] = None
-                not_done -= 1
-                break
+                else:
+                    buffer[position] = None
+                    not_done -= 1
+                    break
     return ops
 
 
-#: Rules over per-key segment counts: any address model.
 _RULES = {
     "baseline": _rule_sequential,
     "sequential": _rule_sequential,
     "std": _rule_sequential,
     "coro": _rule_coro,
+    "gp": _rule_gp,
+    "amac": _rule_amac,
 }
-
-#: Rules that exist only for the sorted-array search (Table 5's
-#: rewrites): they read the model's probe ops directly.
-_SEARCH_RULES = {"gp": _rule_gp, "amac": _rule_amac}
-
-
-def _schedule_ops(technique: str, model, group_size: int) -> list:
-    """The technique's ops over ``model``'s keys, segments expanded.
-
-    A key's segment is its class's template with the address indexes
-    moved to the key's block of ``model.stride`` addresses.
-    """
-    builder = _SEARCH_RULES.get(technique)
-    if builder is not None:
-        return builder(model, len(model.values), group_size)
-    templates = model.templates
-    key_class = model.key_class.tolist()
-    stride = model.stride
-    ops: list = []
-    extend = ops.extend
-    append = ops.append
-    counts = [len(templates[c]) for c in key_class]
-    for op in _RULES[technique](counts, group_size):
-        if op[0] == "S":
-            key = op[1]
-            base = key * stride
-            extend([
-                (event[0], event[1] + base, event[2])
-                if event[0] in _OPCODES else event
-                for event in templates[key_class[key]][op[2]]
-            ])
-        else:
-            append(op)
-    return ops
 
 
 # ----------------------------------------------------------------------
@@ -415,8 +393,10 @@ def _schedule_ops(technique: str, model, group_size: int) -> list:
 # exact because the engine normalizes each compute's advance
 # independently before the clock moves (integer arithmetic, order-free
 # sum). The prefetch instruction's own issue compute is charged by the
-# replay kernel itself, not folded into ``advance``. A staged schedule
-# stores its rows column-wise in one ``(3, n_rows)`` int32 array.
+# replay kernel itself, not folded into ``advance``. Instruction and
+# issue-slot totals are *static* per schedule, summed once at staging
+# instead of on every replay. A staged schedule stores its rows
+# column-wise in one ``(3, n_rows)`` int32 array.
 
 _OPCODES = {
     "L": OP_LOAD,
@@ -426,61 +406,89 @@ _OPCODES = {
 }
 
 
-def _lower_rows(ops: list, iter_cost: tuple, cost_model) -> tuple:
-    """Lower symbolic ops to a ``(3, n_rows)`` row array + static totals.
+def _lower_rows(technique: str, model, group_size: int, cost) -> tuple:
+    """Stage ``model``'s keys in ``technique``'s order: the row array and
+    its ``(instructions_total, core_slots_total)``.
 
-    Instruction retirement and issue-slot accounting are *static* per
-    schedule — every compute charge is known at staging time, and the
-    prefetch issue charge is fixed per prefetch row — so they are
-    summed here once into ``(instructions_total, core_slots_total)``
-    instead of being re-accumulated on every replay.
+    Each template segment is lowered once, to its memory rows ``(opcode,
+    index, advance)`` and the compute after them; each run of it appends
+    those rows with the key's base address index added.
     """
-    issue_width = cost_model.issue_width
-    fixed = {
-        _FRAME: (cost_model.frame_alloc_cycles, cost_model.frame_alloc_instructions),
-        _SWITCH["coro"]: cost_model.coro_switch,
-        _SWITCH["amac"]: cost_model.amac_switch,
-        _SWITCH["gp"]: cost_model.gp_switch,
-        _ITER: iter_cost,
-    }
-    steps = {
-        op: (_advance(cycles, instructions, issue_width), instructions)
-        for op, (cycles, instructions) in fixed.items()
-    }
-    pf_instructions = cost_model.prefetch_issue_instructions
-    pf_advance = _advance(
-        cost_model.prefetch_issue_cycles, pf_instructions, issue_width
-    )
-    opcodes: list = []
-    indexes: list = []
-    advances: list = []
-    pending_advance = 0
-    instructions_total = 0
-    advance_total = 0
-    for op in ops:
-        opcode = _OPCODES.get(op[0])
-        if opcode is not None:
-            opcodes.append(opcode)
-            indexes.append(op[1])
-            advances.append(pending_advance)
-            pending_advance = 0
-            if opcode == OP_PREFETCH or opcode == OP_PREFETCH_LINES:
-                instructions_total += pf_instructions
-                advance_total += pf_advance
-            continue
+    issue_width = cost.issue_width
+    frame = cost.frame_alloc_instructions
+    steps = {_FRAME: (_advance(cost.frame_alloc_cycles, frame, issue_width), frame)}
+    prefetch = cost.prefetch_issue_instructions
+    issue = (_advance(cost.prefetch_issue_cycles, prefetch, issue_width), prefetch)
+
+    def charge(op) -> tuple:
+        """A compute's or frame allocation's ``(advance, instructions)``."""
         step = steps.get(op)
         if step is None:  # ("C", cycles, instructions)
             step = steps[op] = (_advance(op[1], op[2], issue_width), op[2])
-        pending_advance += step[0]
-        instructions_total += step[1]
-        advance_total += step[0]
-    if pending_advance:
+        return step
+
+    def lower(segment) -> tuple:
+        rows: list = []
+        pending = instructions = advance = 0
+        for op in segment:
+            opcode = _OPCODES.get(op[0])
+            if opcode is None:
+                step = charge(op)
+                pending += step[0]
+            else:
+                rows.append((opcode, op[1], pending))
+                pending = 0
+                step = issue if opcode in (OP_PREFETCH, OP_PREFETCH_LINES) else (0, 0)
+            advance += step[0]
+            instructions += step[1]
+        return rows, pending, instructions, advance
+
+    templates, key_class = model.templates, model.key_class.tolist()
+    lowered = [[lower(segment) for segment in template] for template in templates]
+    stride = model.stride
+    opcodes: list = []
+    indexes: list = []
+    advances: list = []
+    pending = instructions_total = advance_total = 0
+    for op in _RULES[technique]([len(templates[c]) for c in key_class], group_size, cost):
+        if op[0] == "S":
+            key = op[1]
+            base = key * stride
+            rows, tail, instructions, advance = lowered[key_class[key]][op[2]]
+            for opcode, index, before in rows:
+                opcodes.append(opcode)
+                indexes.append(index + base)
+                advances.append(pending + before)
+                pending = 0
+            pending += tail
+        else:  # the rule's own switch or frame allocation
+            advance, instructions = charge(op)
+            pending += advance
+        instructions_total += instructions
+        advance_total += advance
+    if pending:
         opcodes.append(OP_COMPUTE)
         indexes.append(0)
-        advances.append(pending_advance)
+        advances.append(pending)
     core_slots_total = issue_width * advance_total - instructions_total
     rows = np.array([opcodes, indexes, advances], dtype=np.int32)
     return rows, (instructions_total, core_slots_total)
+
+
+def _signature(technique: str, model, group_size: int, cost) -> tuple:
+    """What a job's staged rows depend on besides its keys and classes.
+
+    The rule, the model's kind and iteration cost, the group size (at
+    index 3), and every cost-model charge the rules and the lowering
+    read. The memo keys a schedule by it plus the model's ``memo_key``,
+    and validation a class by it plus the class.
+    """
+    return (
+        technique, model.kind, model.iter_cost, group_size, cost.issue_width,
+        cost.coro_switch, cost.amac_switch, cost.gp_switch,
+        cost.frame_alloc_cycles, cost.frame_alloc_instructions,
+        cost.prefetch_issue_cycles, cost.prefetch_issue_instructions,
+    )
 
 
 #: In-process schedule memo: signature tuple -> (rows, totals), least
@@ -498,18 +506,6 @@ _MEMO_ROW_BUDGET = 1 << 16
 def _memo_rows() -> int:
     """Rows the schedule memo holds."""
     return sum(rows.shape[1] for rows, _totals in _SCHEDULE_MEMO.values())
-
-
-def _cost_key(cost) -> tuple:
-    """The cost-model charges a staged schedule's ops are lowered with."""
-    return (
-        cost.issue_width,
-        tuple(cost.coro_switch),
-        tuple(cost.amac_switch),
-        tuple(cost.gp_switch),
-        (cost.frame_alloc_cycles, cost.frame_alloc_instructions),
-        (cost.prefetch_issue_cycles, cost.prefetch_issue_instructions),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -559,16 +555,16 @@ def _address_model(technique: str, tasks, line_size: int):
     interleave = technique == "coro"
     if tasks.kind == "sorted_array":
         return _SearchModel(
-            tasks.target, tasks.inputs, tasks.costs,
-            interleave=interleave, speculative=technique == "std", verify=False,
+            tasks.target, tasks.inputs, tasks.costs, technique,
+            speculative=technique == "std", verify=False,
         )
     table = getattr(tasks.target, "array", None)
     if table is not None:
         # Main's locate: the branchy speculative search when sequential,
         # the coroutine when interleaved, then the exact-match check.
         return _SearchModel(
-            table, tasks.inputs, tasks.costs,
-            interleave=interleave, speculative=not interleave, verify=True,
+            table, tasks.inputs, tasks.costs, technique,
+            speculative=not interleave, verify=True,
         )
     tree = getattr(tasks.target, "tree", None)
     if (
@@ -597,9 +593,8 @@ class _AddressModel:
     in signatures, ``iter_cost`` is one search iteration's ``(cycles,
     instructions)``, and :meth:`probes` returns the flat addresses and
     per-key results. ``reason`` says why the job can not replay, if so.
-    ``memo_key`` is what the rows depend on besides the technique, group
-    size, ``iter_cost``, ``kind`` and cost model, or ``None`` when they
-    belong to one job.
+    ``memo_key`` is what the rows depend on besides the job's
+    :func:`_signature`, or ``None`` when they belong to one job.
     """
 
     reason = None
@@ -609,28 +604,23 @@ class _AddressModel:
         """Validation class -> the first key of it (one class by default)."""
         return {(): 0}
 
-    def schedule(self, technique: str, group_size: int, cost_model) -> tuple:
+    def schedule(self, technique: str, group_size: int, cost, signature: tuple) -> tuple:
         """Stage this job's rows and totals, or recall them from the memo."""
         memo = _SCHEDULE_MEMO
-        signature = None
         if self.memo_key is not None:
-            signature = (
-                technique, *self.memo_key, group_size, self.iter_cost,
-                _cost_key(cost_model), self.kind,
-            )
+            signature += self.memo_key
             staged = memo.get(signature)
             if staged is not None:
                 memo.move_to_end(signature)
                 _STATS["schedule_cache_hits"] += 1
                 return staged
         started = perf_counter()
-        ops = _schedule_ops(technique, self, group_size)
-        staged = _lower_rows(ops, self.iter_cost, cost_model)
-        if signature is not None:
+        staged = _lower_rows(technique, self, group_size, cost)
+        if self.memo_key is not None:
             memo[signature] = staged
             held = _memo_rows()
             while held > _MEMO_ROW_BUDGET and len(memo) > 1:
-                _signature, (rows, _totals) = memo.popitem(last=False)
+                _key, (rows, _totals) = memo.popitem(last=False)
                 held -= rows.shape[1]
         _STATS["compiled_schedules"] += 1
         _STATS["schedule_compile_s"] += perf_counter() - started
@@ -650,12 +640,12 @@ class _SearchModel(_AddressModel):
     ``width`` 3), then the exact-match load of a locate.
     """
 
-    def __init__(self, table, values, costs, *, interleave, speculative, verify):
+    def __init__(self, table, values, costs, technique, *, speculative, verify):
         self.table = table
         self.values = values
         self.halves = _halves(table.size)  # the table size alone sets them
         self.depth = len(self.halves)
-        self.interleave = interleave
+        self.technique = technique
         self.speculative = speculative
         self.verify = verify
         self.width = 3 if speculative else 1
@@ -666,29 +656,32 @@ class _SearchModel(_AddressModel):
         self.kind = ("search", speculative, verify)
         self.memo_key = (len(values), self.depth)
 
-    def load(self, key: int, it: int) -> tuple:
-        tag = "SL" if self.speculative else "L"
-        return (tag, key * self.stride + it * self.width, self.size)
-
-    def prefetch(self, key: int, it: int) -> tuple:
-        return ("P", key * self.stride + it, self.size)
-
     @property
     def templates(self) -> list:
-        """The one class's segments: the whole search unless interleaved,
-        else one per resume — the load and iteration the previous
-        suspension waited for, then the next prefetch — and a locate's
-        exact-match check at the end."""
+        """The one class's segments. GP and AMAC alternate a prefetch
+        stage and an access stage per iteration; CORO resumes with the
+        load and iteration the previous suspension waited for, then
+        issues the next prefetch; any other rule runs the whole search as
+        one segment. A locate ends with its exact-match check."""
+        size, width = self.size, self.width
+        step = ("C", *self.iter_cost)
+        if self.technique in ("gp", "amac"):
+            return [[
+                stage
+                for it in range(self.depth)
+                for stage in ([("P", it, size)], [("L", it, size), step])
+            ]]
+        load = "SL" if self.speculative else "L"
         segments: list = []
         ops: list = []
         for it in range(self.depth):
-            if self.interleave:
-                ops.append(self.prefetch(0, it))
+            if self.technique == "coro":
+                ops.append(("P", it, size))
                 segments.append(ops)
                 ops = []
-            ops += (self.load(0, it), _ITER)
+            ops += ((load, it * width, size), step)
         if self.verify:
-            ops += (("L", self.stride - 1, self.size), ("C", *EXACT_MATCH_COST))
+            ops += (("L", self.stride - 1, size), ("C", *EXACT_MATCH_COST))
         segments.append(ops)
         return [segments]
 
@@ -785,17 +778,19 @@ class _TreeModel(_AddressModel):
     entry addresses, and result. The dictionary array must hold key
     ``e`` at code ``leaf_value(e)``, as a Delta dictionary's does.
 
-    Which events a key's walk issues depends only on its *node shape*:
-    the separator count of each node on its path and its leaf's entry
-    count. Keys with one shape are one class with one segment template
-    (a child prefetch is always a line range, whichever lines the child
-    spans: a one-line range replays exactly as a one-line prefetch). Every
-    node off the right spine of a left-full tree is full, so a job has
-    at most ``height + 1`` classes, and all but one lie on the ragged
-    right spine. Each key's address block holds a column per separator
-    probe of each depth, the child prefetch's first and last byte
-    (interleaved), and a code slot and entry per leaf comparison, the
-    final one last; a class uses the columns its shape reaches.
+    Which events a key's walk issues depends only on its *probe counts*:
+    the separator probes at each inner depth (-1 for a node with a
+    single child, which routes without a search) and its leaf's
+    comparisons before the final one. Keys with one tuple of counts are
+    one class with one segment template (a child prefetch is always a
+    line range, whichever lines the child spans: a one-line range
+    replays exactly as a one-line prefetch). Every node off the right
+    spine of a left-full tree is full, so a job has at most ``height +
+    1`` classes, and all but one lie on the ragged right spine. Each
+    key's address block holds a column per separator probe of each
+    depth, the child prefetch's first and last byte (interleaved), and a
+    code slot and entry per leaf comparison, the final one last; a class
+    uses the columns its counts reach.
     """
 
     kind = ("tree",)
@@ -803,19 +798,13 @@ class _TreeModel(_AddressModel):
     def __init__(self, dictionary, values, costs, interleave: bool, line_size: int):
         self.values = values
         self.iter_cost = (costs.iter_cycles, costs.iter_instructions)
-        started = perf_counter()
-        try:
-            self._walk(dictionary.tree, dictionary.dict_view, interleave, line_size)
-        finally:
-            _STATS["schedule_compile_s"] += perf_counter() - started
-
-    def _walk(self, tree, view, interleave: bool, line_size: int) -> None:
-        keys = np.asarray(self.values, dtype=np.int64)
+        tree, view = dictionary.tree, dictionary.dict_view
+        keys = np.asarray(values, dtype=np.int64)
         key_size, node_size = tree.key_size, tree.node_size
         entry_size = view.element_size
         leaf_depth = tree.height - 1
         columns: list = []  # address columns: one array each, an entry per key
-        shape: list = []  # node-shape columns
+        counts: list = []  # probe-count columns, one per depth
         loads: list = []  # (addresses, size) of every demand load issued
         layout: list = []  # per inner depth: (first probe column, prefetch column)
         node = np.zeros(keys.size, dtype=np.int64)
@@ -824,6 +813,7 @@ class _TreeModel(_AddressModel):
             probe_column = len(columns)
             low = np.zeros_like(node)
             size = separators.copy()
+            probes = np.where(separators > 0, 0, -1)
             for _ in range(search_depth(int(separators.max()))):
                 half = size // 2
                 probe = low + half
@@ -832,17 +822,18 @@ class _TreeModel(_AddressModel):
                 loads.append((address[half > 0], key_size))
                 low = np.where(first + probe * step <= keys, probe, low)
                 size -= half
+                probes += half > 0
             right = (separators > 0) & (first + low * step <= keys)
             node = tree.child_indexes(depth, node, np.where(right, low + 1, 0))
-            shape.append(separators)
+            counts.append(probes)
             layout.append((probe_column, len(columns)))
             if interleave:
                 child = tree.node_addresses(depth + 1, node)
                 columns += (child, child + node_size - 1)
         first, step, count = tree.key_entries(leaf_depth, node)
-        shape.append(count)
         low = np.zeros_like(node)
         size = count.copy()
+        probes = np.zeros_like(node)
         compared: list = []  # leaf position of each comparison; the final last
         for _ in range(search_depth(int(count.max()))):
             half = size // 2
@@ -850,6 +841,8 @@ class _TreeModel(_AddressModel):
             compared.append((probe, half > 0))
             low = np.where(first + probe * step <= keys, probe, low)
             size -= half
+            probes += half > 0
+        counts.append(probes)
         compared.append((low, np.ones_like(low, dtype=bool)))
         leaf_column = len(columns)
         for position, issued in compared:
@@ -868,51 +861,49 @@ class _TreeModel(_AddressModel):
         self.addresses = np.stack(columns, axis=1).ravel()
         self.stride = len(columns)
         classes, firsts, inverse = np.unique(
-            np.stack(shape, axis=1), axis=0, return_index=True, return_inverse=True
+            np.stack(counts, axis=1), axis=0, return_index=True, return_inverse=True
         )
         self.key_class = inverse.reshape(-1)
-        self.shapes = [tuple(row) for row in classes.tolist()]
+        self.classes = [tuple(row) for row in classes.tolist()]
         self.firsts = firsts.tolist()
-        final = len(compared) - 1
-        geometry = (key_size, node_size, entry_size, leaf_column, final)
+        geometry = (key_size, entry_size, leaf_column, len(compared) - 1, self.iter_cost)
         self.templates = [
-            _tree_template(row, layout, geometry, interleave) for row in self.shapes
+            _tree_template(row, layout, geometry, interleave) for row in self.classes
         ]
 
     def representatives(self) -> dict:
-        return dict(zip(self.shapes, self.firsts))
+        return dict(zip(self.classes, self.firsts))
 
     def probes(self) -> tuple:
         return self.addresses, self.results
 
 
-def _tree_template(shape: tuple, layout: list, geometry: tuple, interleave: bool) -> list:
-    """The segments of one node-shape class of :class:`_TreeModel`, ops
+def _tree_template(probes: tuple, layout: list, geometry: tuple, interleave: bool) -> list:
+    """The segments of one probe-count class of :class:`_TreeModel`, ops
     in the order ``delta_locate_stream`` issues them."""
-    key_size, node_size, entry_size, leaf_column, final = geometry
+    key_size, entry_size, leaf_column, final, iter_cost = geometry
+    step = ("C", *iter_cost)
     segments: list = [[]]
     ops = segments[-1]
-    shape = iter(shape)
-    for probe_column, prefetch_column in layout:
-        separators = next(shape)
-        if separators:
-            for it in range(search_depth(separators)):
-                ops += (("L", probe_column + it, key_size), _ITER)
-            ops.append(("C", *ROUTE_COST))
-        else:
+    for (probe_column, prefetch_column), count in zip(layout, probes):
+        if count < 0:
             ops.append(("C", *SINGLE_CHILD_COST))
+        else:
+            for it in range(count):
+                ops += (("L", probe_column + it, key_size), step)
+            ops.append(("C", *ROUTE_COST))
         if interleave:  # a line range, even when the node fits one line
-            ops.append(("PL", prefetch_column, node_size))
+            ops.append(("PL", prefetch_column))
             ops = []
             segments.append(ops)
-    for compare in (*range(search_depth(next(shape))), final):
+    for compare in (*range(probes[-1]), final):
         slot = leaf_column + 2 * compare
         ops.append(("L", slot, entry_size))
         if interleave:
             ops.append(("P", slot + 1, entry_size))
             ops = []
             segments.append(ops)
-        ops += (("L", slot + 1, entry_size), _ITER)
+        ops += (("L", slot + 1, entry_size), step)
     ops.append(("C", *EXACT_MATCH_COST))
     return segments
 
@@ -923,7 +914,15 @@ def _tree_template(shape: tuple, layout: list, geometry: tuple, interleave: bool
 
 
 class _RecordingEngine(ExecutionEngine):
-    """Engine that logs every event it executes (calibration runs only)."""
+    """Engine that logs the loads, prefetches, computes and frame
+    allocations it is handed, and executes none of them.
+
+    No replaying executor's events depend on machine state, so a
+    calibration run needs no memory system, and the engine's own charges
+    for prefetch issue and frame allocation are the lowering's to add. A
+    prefetch answers "not cached": only the conditional-suspension
+    ablation reads that answer, and it never replays.
+    """
 
     def __init__(self, arch) -> None:
         super().__init__(arch)
@@ -931,84 +930,79 @@ class _RecordingEngine(ExecutionEngine):
 
     def compute(self, cycles, instructions):
         self.trace.append(("C", cycles, instructions))
-        super().compute(cycles, instructions)
 
     def execute_load(self, event, ctx=None):
         self.trace.append(("L", event.addr, event.size, event.spec_next))
-        super().execute_load(event, ctx)
 
     def execute_prefetch(self, event):
         self.trace.append(("P", event.addr, event.size))
-        return super().execute_prefetch(event)
+        return False
 
     def execute_frame_alloc(self):
-        self.trace.append(("F",))
-        super().execute_frame_alloc()
+        self.trace.append(_FRAME)
 
 
-#: Validation signatures already checked this process.
+#: Validation signatures (a :func:`_signature` plus a class) already
+#: checked this process.
 _VALIDATED: set = set()
 
 
-def _expand_expected(ops, addresses, iter_cost, cost):
-    """What a :class:`_RecordingEngine` must log for a staged schedule."""
+def _expand_expected(technique: str, model, group_size: int, cost, addresses) -> list:
+    """What a :class:`_RecordingEngine` must log for ``model``'s keys in
+    ``technique``'s order: every address index resolved, and a line
+    range sized by its staged last byte. Computes and frame allocations
+    are logged as they are staged."""
+    templates, key_class = model.templates, model.key_class.tolist()
+    addresses = np.asarray(addresses).tolist()
     expected: list = []
     append = expected.append
-    computes = {
-        _ITER: iter_cost,
-        _SWITCH["coro"]: cost.coro_switch,
-        _SWITCH["amac"]: cost.amac_switch,
-        _SWITCH["gp"]: cost.gp_switch,
-    }
-    issue = ("C", cost.prefetch_issue_cycles, cost.prefetch_issue_instructions)
-    for op in ops:
-        tag = op[0]
-        if tag == "L":
-            append(("L", addresses[op[1]], op[2], None))
-        elif tag == "SL":
-            index = op[1]
-            spec = None
-            if addresses[index + 1] != NO_PREDICTION:
-                spec = (addresses[index + 1], addresses[index + 2])
-            append(("L", addresses[index], op[2], spec))
-        elif tag == "P" or tag == "PL":
-            append(("P", addresses[op[1]], op[2]))
-            append(issue)
-        elif tag == "C":
-            append(op)
-        elif tag == "F":
-            append(("F",))
-            append(("C", cost.frame_alloc_cycles, cost.frame_alloc_instructions))
-        else:  # "IT" or "SW"
-            append(("C", *computes[op]))
+    for item in _RULES[technique]([len(templates[c]) for c in key_class], group_size, cost):
+        ops, base = (item,), 0
+        if item[0] == "S":
+            ops, base = templates[key_class[item[1]]][item[2]], item[1] * model.stride
+        for op in ops:
+            tag = op[0]
+            if tag == "L":
+                append(("L", addresses[op[1] + base], op[2], None))
+            elif tag == "SL":
+                index = op[1] + base
+                spec = None
+                if addresses[index + 1] != NO_PREDICTION:
+                    spec = (addresses[index + 1], addresses[index + 2])
+                append(("L", addresses[index], op[2], spec))
+            elif tag == "P":
+                append(("P", addresses[op[1] + base], op[2]))
+            elif tag == "PL":
+                first, last = addresses[op[1] + base : op[1] + base + 2]
+                append(("P", first, last - first + 1))
+            else:  # ("C", cycles, instructions) or ("F",)
+                append(op)
     return expected
 
 
-def _validate_staging(executor, tasks, model, group_size: int, arch) -> None:
+def _validate_staging(executor, tasks, model, signature: tuple, arch) -> None:
     """Record the executor's generators once; the staged schedule must match.
 
-    The first time a (technique, address model, group size, cost model)
-    combination replays a class of keys, ``executor``'s generators run a
-    calibration slice of the job — its own target, with enough of its
-    inputs (reused cyclically) for two full generations and a partial
-    one, plus the first key of each such class the slice lacks — under a
-    :class:`_RecordingEngine`. Their event stream (addresses, sizes,
-    ``spec_next`` predictions and compute charges included) must equal
-    the staged ops expanded with the model's addresses, and the results
-    the model's. Covers the schedule structure end to end: prologue allocations,
-    refill timing, partial final generations, per-key segment counts,
-    the per-visit event mix, and every class's template.
+    The first time a :func:`_signature` replays a class of keys,
+    ``executor``'s generators run a calibration slice of the job — its
+    own target, with enough of its inputs (reused cyclically) for two
+    full generations and a partial one, plus the first key of each such
+    class the slice lacks — under a :class:`_RecordingEngine`. Their
+    event stream (addresses, sizes, ``spec_next`` predictions and
+    compute charges included) must equal the staged ops with their
+    address indexes resolved, and the results the model's: prologue
+    allocations, refill timing, partial final generations, per-key
+    segment counts and every class's template. Charged to ``validation_s``.
     """
-    technique = executor.schedule
-    cost = arch.cost
-    signature = (technique, model.kind, group_size, _cost_key(cost))
     missing = {
-        shape: key
-        for shape, key in model.representatives().items()
-        if signature + (shape,) not in _VALIDATED
+        cls: key
+        for cls, key in model.representatives().items()
+        if signature + (cls,) not in _VALIDATED
     }
     if not missing:
         return
+    started = perf_counter()
+    technique, group_size = signature[0], signature[3]
     n = 2 * group_size + max(2, group_size // 2)  # 2 generations + a partial
     inputs = tasks.inputs
     picks = [i % len(inputs) for i in range(n)]
@@ -1019,20 +1013,18 @@ def _validate_staging(executor, tasks, model, group_size: int, arch) -> None:
     recorded_results = executor._run(calibration, recorder, group_size)
     faithful = calibrated.reason is None
     if faithful:
-        ops = _schedule_ops(technique, calibrated, group_size)
         addresses, staged_results = calibrated.probes()
-        addresses = np.asarray(addresses).tolist()
-        expected = _expand_expected(ops, addresses, calibrated.iter_cost, cost)
+        expected = _expand_expected(technique, calibrated, group_size, arch.cost, addresses)
         faithful = (
-            expected == recorder.trace
-            and list(recorded_results) == list(staged_results)
+            expected == recorder.trace and list(recorded_results) == list(staged_results)
         )
+    _STATS["validation_s"] += perf_counter() - started
     if not faithful:
         raise SimulationError(
             f"staged {technique!r} schedule (group_size={group_size}, "
             f"model {model.kind}) does not reproduce the recorded generator "
             f"trace; refusing to replay"
         )
-    for shape in calibrated.representatives():
-        _VALIDATED.add(signature + (shape,))
+    for cls in calibrated.representatives():
+        _VALIDATED.add(signature + (cls,))
     _STATS["validations"] += 1

@@ -160,6 +160,10 @@ class MetricsRegistry:
             raise SimulationError(f"source {name!r} shadows a registered metric")
         self._sources[name] = source
 
+    def drop_source(self, name: str) -> None:
+        """Unmount the source at ``name``, if one is mounted."""
+        self._sources.pop(name, None)
+
     # ------------------------------------------------------------------
     # Snapshot
     # ------------------------------------------------------------------

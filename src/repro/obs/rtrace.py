@@ -142,7 +142,6 @@ class RequestTracer(NullRequestTracer):
     def __init__(self) -> None:
         self._requests: dict[int, object] = {}
         self._events: dict[int, list[tuple[str, int, dict]]] = {}
-        self._by_trace_id: dict[str, int] = {}
         self._dispatch_seq = 0
         #: Applied point faults, in application order: ``(cycle, kind, shard)``.
         self.fault_points: list[tuple[int, str, int | None]] = []
@@ -158,7 +157,6 @@ class RequestTracer(NullRequestTracer):
         if index not in self._requests:
             self._requests[index] = request
             self._events[index] = []
-            self._by_trace_id[request.trace_id] = index
         self._events[index].append((kind, cycle, attrs))
 
     def on_admission(self, request, verdict: str, *, rate_limited: bool = False) -> None:
@@ -251,11 +249,6 @@ class RequestTracer(NullRequestTracer):
     def traces(self) -> list[dict]:
         """One span tree per observed request, in request-index order."""
         return [self.trace_for(index) for index in sorted(self._requests)]
-
-    def trace_by_id(self, trace_id: str) -> dict:
-        if trace_id not in self._by_trace_id:
-            raise SimulationError(f"no trace recorded for id {trace_id!r}")
-        return self.trace_for(self._by_trace_id[trace_id])
 
     def trace_for(self, index: int) -> dict:
         if index not in self._requests:

@@ -87,6 +87,13 @@ def configure(*, jobs: int | None = None, cache: ResultCache | None = None) -> N
     """Set the process-wide sweep defaults (CLI / harness entry points)."""
     _config.jobs = jobs
     _config.cache = cache
+    _mount_cache(cache)
+
+
+def _mount_cache(cache: ResultCache | None) -> None:
+    """Mount ``cache``'s counters as ``perf.cache`` in :data:`metrics`, or
+    none: the section always shows the configured cache."""
+    metrics.drop_source("perf.cache")
     if cache is not None:
         cache.register_metrics(metrics)
 
@@ -111,14 +118,17 @@ def overrides(*, jobs: int | None = None, cache: ResultCache | None = None):
     """Temporarily replace the process-wide defaults that are passed.
 
     An argument left at ``None`` keeps its current value (facade helper).
+    On exit the defaults are restored, and so is the ``perf.cache``
+    section of :data:`metrics`, which shows the configured cache.
     """
     previous = (_config.jobs, _config.cache)
     if jobs is not None:
         _config.jobs = jobs
     if cache is not None:
         _config.cache = cache
-        cache.register_metrics(metrics)
+        _mount_cache(cache)
     try:
         yield
     finally:
         _config.jobs, _config.cache = previous
+        _mount_cache(previous[1])

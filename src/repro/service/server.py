@@ -253,12 +253,6 @@ class ServiceReport:
         return self.served * 1000.0 / self.makespan if self.makespan else 0.0
 
     @property
-    def offered_per_kcycle(self) -> float:
-        """Arrivals per kilocycle actually seen by the front door."""
-        arrivals = self.counters["arrivals"]
-        return arrivals * 1000.0 / self.makespan if self.makespan else 0.0
-
-    @property
     def counters(self) -> dict:
         tree = self.metrics.snapshot()["service"]
         return {

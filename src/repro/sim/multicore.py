@@ -98,10 +98,6 @@ class MultiCoreSystem:
             self.memories.append(memory)
         self.shared_l3 = shared_l3
 
-    def flush_shared_llc(self) -> None:
-        """Empty the shared last-level cache (fault injection hook)."""
-        self.shared_l3.flush()
-
     def engines(self, seed: int = 0) -> list[ExecutionEngine]:
         """Fresh engines (one per core) over the current memory state."""
         return [

@@ -66,12 +66,32 @@ class TestCli:
         assert during[0] == (3, None)
         assert isinstance(during[1][1], perf.ResultCache)
 
+    def test_cache_counters_last_only_as_long_as_the_command(self, monkeypatch, tmp_path):
+        """The result cache ``main`` configures leaves no ``perf.cache``
+        section on the process-wide registry, and a cache configured
+        before the command is mounted again after it."""
+        from repro import perf
+        from repro.obs.metrics import MetricsRegistry
+
+        monkeypatch.setattr(perf, "metrics", MetricsRegistry())
+        monkeypatch.setattr(perf, "_config", type(perf._config)())
+        assert main(["table5"]) == 0
+        assert "perf" not in perf.metrics.snapshot()
+        mine = perf.ResultCache(tmp_path)
+        perf.configure(cache=mine)
+        assert main(["table5", "--no-cache"]) == 0
+        assert perf.metrics.snapshot()["perf"] == {"cache": mine.as_dict()}
+
 
 class TestProfileVerb:
     def test_fig8_point_replays(self, capsys):
         assert main(["profile", "fig8", "--top", "3"]) == 0
         out = capsys.readouterr().out
-        assert "measure_query" in out and "staged schedules:" in out
+        assert "measure_query" in out
+        assert re.search(
+            r"^staged schedules: schedule_compile_s=\S+ validation_s=\S+ replay_s=\S+$",
+            out, re.M,
+        )
         assert "generator fallbacks" not in out
         # The Main locate schedules stay in the memo after the point.
         memo = re.search(r"^schedule memo: schedules=(\d+) rows=(\d+)$", out, re.M)

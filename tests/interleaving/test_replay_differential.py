@@ -28,6 +28,8 @@ model covers) must run the generators and report their fallback reason,
 the first one in the order the reasons are checked.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,7 @@ from repro.interleaving import (
     CoroExecutor,
     FramePool,
     compiled_stats,
+    compiled_timings,
     get_executor,
     reset_compiled_stats,
     run_interleaved,
@@ -497,8 +500,32 @@ class TestFallbackReasons:
         assert stats["fallbacks_by_reason"] == {"workload_kind": 1}
 
 
+def _signature_jobs() -> dict:
+    """1 MB jobs that differ from the ``int`` one in one signature field
+    at a time: the model kind (a Main locate's exact-match load) or the
+    iteration cost (string comparisons)."""
+    keys = [0, 7, 5_000, 99_999, 300_000]
+    ints = int_array_of_bytes(AddressSpaceAllocator(), "t", 1 << 20)
+    strings = string_array_of_bytes(AddressSpaceAllocator(), "s", 1 << 20)
+    main = MainDictionary.implicit(AddressSpaceAllocator(), "d", 1 << 20)
+    return {
+        "int": BulkLookup.sorted_array(ints, keys),
+        "string": BulkLookup.sorted_array(strings, [index_to_key(k % 65_536) for k in keys]),
+        "main": BulkLookup.locate(main, keys),
+    }
+
+
+#: Every cost-model charge the rules and the lowering read.
+_CHARGES = (
+    "issue_width", "coro_switch", "amac_switch", "gp_switch",
+    "frame_alloc_cycles", "frame_alloc_instructions",
+    "prefetch_issue_cycles", "prefetch_issue_instructions",
+)
+
+
 class TestStagingValidation:
-    """The first replay of a (technique, model, group size) checks the
+    """The first replay of a schedule signature (technique, model kind,
+    iteration cost, group size, cost-model charges) checks each class's
     staged ops against the executor's recorded generator trace, and any
     difference is a hard error, never a silently wrong replay."""
 
@@ -516,6 +543,51 @@ class TestStagingValidation:
         dictionary = MainDictionary.implicit(AddressSpaceAllocator(), "d", 4_000)
         return BulkLookup.locate(dictionary, [0, 7, 500, 999, 1_005])
 
+    @staticmethod
+    def _validations(compiled, *runs) -> int:
+        """Validations ``runs`` take from nothing validated, each
+        ``(executor, job, group size, arch)``."""
+        jobs = _signature_jobs()
+        compiled._VALIDATED.clear()
+        reset_compiled_stats()
+        for name, job, group_size, arch in runs:
+            get_executor(name).run(jobs[job], ExecutionEngine(arch), group_size=group_size)
+        return compiled_stats()["validations"]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        (
+            (("Baseline", "int", 4), ("sequential", "int", 4)),
+            (("CORO", "int", 4), ("CORO", "main", 4)),
+            (("CORO", "int", 4), ("CORO", "string", 4)),
+            (("CORO", "int", 3), ("CORO", "int", 4)),
+        ),
+        ids=["technique", "model-kind", "iteration-cost", "group-size"],
+    )
+    def test_each_signature_field_validates_anew(self, _unvalidated, first, second):
+        runs = (*first, HASWELL), (*second, HASWELL)
+        assert self._validations(_unvalidated, runs[0], runs[0]) == 1
+        assert self._validations(_unvalidated, *runs) == 2
+
+    @pytest.mark.parametrize("charge", _CHARGES)
+    def test_each_cost_charge_validates_anew(self, _unvalidated, charge):
+        value = getattr(HASWELL.cost, charge)
+        value = tuple(part + 1 for part in value) if isinstance(value, tuple) else value + 1
+        arch = HASWELL.replace(cost=replace(HASWELL.cost, **{charge: value}))
+        run = ("CORO", "int", 4)
+        assert self._validations(_unvalidated, (*run, HASWELL), (*run, arch)) == 2
+
+    def test_validation_time_is_charged_once_per_signature(self, _unvalidated):
+        reset_compiled_stats()
+        self._run("CORO", self._main())
+        first = compiled_timings()["validation_s"]
+        self._run("CORO", self._main())
+        stats = compiled_stats()
+        assert first > 0 and stats["validation_s"] == first
+        assert stats["validations"] == 1 and stats["replays"] == 2
+        reset_compiled_stats()
+        assert compiled_timings()["validation_s"] == 0.0
+
     def test_faithful_schedules_pass(self, _unvalidated):
         delta = DeltaDictionary.implicit(AddressSpaceAllocator(), "d", 16_000)
         for name, tasks in (
@@ -526,7 +598,8 @@ class TestStagingValidation:
         ):
             self._run(name, tasks)
         # One signature per class: 0 and 5 sit under full nodes, 3_999 and
-        # the absent 4_001 on the tree's ragged right spine.
+        # the absent 4_001 on the tree's ragged right spine, whose last
+        # leaf takes fewer comparisons.
         assert len(_unvalidated._VALIDATED) == 5
 
     def test_wrong_compute_charge_raises(self, _unvalidated, monkeypatch):
@@ -555,10 +628,11 @@ class TestStagingValidation:
         the generators through a representative key of it."""
         delta = DeltaDictionary.implicit(AddressSpaceAllocator(), "d", 16_000)
         template = _unvalidated._tree_template
+        full_leaf = _unvalidated.search_depth(delta.tree.leaf_entries)
 
-        def ragged_wrong(shape, *args):
-            segments = template(shape, *args)
-            if shape[-1] < delta.tree.leaf_entries:  # the 10-entry last leaf
+        def ragged_wrong(probes, *args):
+            segments = template(probes, *args)
+            if probes[-1] < full_leaf:  # the 10-entry last leaf's comparisons
                 segments[-1].append(("C", 1, 1))
             return segments
 
@@ -566,6 +640,25 @@ class TestStagingValidation:
         tasks = BulkLookup.locate(delta, [*range(0, 3_000, 100), 3_999])
         with pytest.raises(SimulationError, match="does not reproduce"):
             self._run(name, tasks)
+
+    def test_moved_line_range_end_raises(self, _unvalidated, monkeypatch):
+        """A child prefetch is checked by its last byte as well as its
+        first: moving the last-byte column by a line is caught."""
+        probes = _unvalidated._TreeModel.probes
+
+        def moved(model):
+            addresses, results = probes(model)
+            block = addresses.reshape(len(model.values), model.stride).copy()
+            for segments in model.templates:
+                for op in (op for segment in segments for op in segment):
+                    if op[0] == "PL":
+                        block[:, op[1] + 1] += HASWELL.line_size
+            return block.ravel(), results
+
+        monkeypatch.setattr(_unvalidated._TreeModel, "probes", moved)
+        delta = DeltaDictionary.implicit(AddressSpaceAllocator(), "d", 16_000)
+        with pytest.raises(SimulationError, match="does not reproduce"):
+            self._run("CORO", BulkLookup.locate(delta, [0, 5, 3_999, 4_001]))
 
     def test_wrong_interleave_rule_raises(self, _unvalidated, monkeypatch):
         delta = DeltaDictionary.implicit(AddressSpaceAllocator(), "d", 16_000)
