@@ -287,7 +287,7 @@ class TestLocateReplayMatchesGenerators:
     )
     # A 1 GiB implicit Delta (five levels, 41 root separators, a right
     # spine of 25, 30 and 48 separators over a 16-entry last leaf) with
-    # keys in every node-shape class, and a 1,801-value one whose second
+    # keys in every probe-count class, and a 1,801-value one whose second
     # depth-1 node has a single child (the ``SINGLE_CHILD_COST`` branch)
     # over a one-entry leaf; absent keys below and above both.
     @example(job=_delta_example("sequential", 1 << 28, _KEYS_1G, "warm"))
